@@ -26,6 +26,7 @@ from .metric import (
     _distance_fn,
     _ordered_points,
     _resolve_tol,
+    as_finite_space,
     enumerate_fsets,
     hausdorff,
     match_bijection,
@@ -176,7 +177,7 @@ def _exhaustive_search(sets, images, space, beta):
     return best, (sets[arg[0]], sets[arg[1]]), pairs
 
 
-def _sampled_search(f, space, n, beta, seed, budget, image):
+def _sampled_search(space, n, beta, seed, budget, image):
     rng = random.Random(seed)
     pts = list(_ordered_points(space))
     N = len(pts)
@@ -262,7 +263,7 @@ def _sampled_search(f, space, n, beta, seed, budget, image):
 
 
 def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
-                      pair_budget=_PAIR_BUDGET, tol=None):
+                      pair_budget=_PAIR_BUDGET):
     """Estimate the best constant C with Δ(f(A), f(B)) ≤ C Δ(A, B)^β.
 
     ``domain`` is either a SubsetDomain or an explicit sequence of FSets
@@ -288,8 +289,7 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     if isinstance(domain, SubsetDomain):
         space = domain.space
         if not domain.exhaustive:
-            c, w, p = _sampled_search(f, space, domain.n, beta, seed,
-                                      pair_budget, image)
+            c, w, p = _sampled_search(space, domain.n, beta, seed, pair_budget, image)
             return ConstantReport(kind, beta, c, w, p, "sampled")
         sets = domain.sets
     else:
@@ -481,7 +481,7 @@ class MergedCurve:
     gamma_length: float
 
 
-def merge_curve(gamma, space=None, tol=None):
+def merge_curve(gamma, space=None):
     """Join the two points of Γ(t_0) by a curve of length at most 2ℓ.
 
     ℓ is the sampled length of Γ up to its first singleton value.  The two
@@ -550,7 +550,7 @@ class QuasiconvexityReport:
     eps: float
 
 
-def quasiconvexity_constant(space, eps, tol=None):
+def quasiconvexity_constant(space, eps):
     """Discrete quasiconvexity constant at neighbor radius eps.
 
     Builds the graph joining samples at distance at most eps, weights edges
@@ -558,8 +558,7 @@ def quasiconvexity_constant(space, eps, tol=None):
     distance.  A disconnected graph yields an infinite constant and the
     closest disconnected pair as witness.
     """
-    if not isinstance(space, FiniteMetricSpace):
-        space = FiniteMetricSpace.from_coords(getattr(space, "points", space))
+    space = as_finite_space(space)
     N = len(space.points)
     if N == 0:
         raise ValueError("space is empty")

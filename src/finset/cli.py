@@ -18,7 +18,6 @@ from .metric import (
     FiniteMetricSpace,
     RealLineSpace,
     as_finite_space,
-    get_tolerance,
     hausdorff,
     min_separation,
 )
@@ -29,7 +28,6 @@ class RunConfig:
     """Knobs shared by all commands; identical configs give identical reports."""
 
     seed: int = 0
-    tolerance: float = 1e-9
     cap: int = DEFAULT_ENUMERATION_CAP
     out: str | None = None
 
@@ -150,7 +148,7 @@ def _space_summary(space):
     return data
 
 
-def _retraction(name, space, n, m, target_l, cap):
+def _retraction(name, space, n, m, target_l):
     if name == "line":
         return lambda A: line.line_retract(A, n)
     if name == "median":
@@ -211,7 +209,7 @@ def _cmd_retract(args, config):
     A = _parse_set(args.set)
     n = args.n
     m = args.m if args.m is not None else n - 1
-    f = _retraction(args.map, space, n, m, args.target_l, config.cap)
+    f = _retraction(args.map, space, n, m, args.target_l)
     out = f(A)
     dom = _domain_space(space) if space is not None else None
     report = {
@@ -231,7 +229,7 @@ def _cmd_estimate_lip(args, config):
     space = _load_space(args.space)
     n = args.n
     m = args.m if args.m is not None else n - 1
-    f = _retraction(args.map, space, n, m, args.target_l, config.cap)
+    f = _retraction(args.map, space, n, m, args.target_l)
     dom_space = _domain_space(space)
     domain = analysis.SubsetDomain.build(dom_space, n, cap=config.cap)
     report = analysis.estimate_constant(
@@ -309,9 +307,7 @@ def _as_positive(values):
 
 
 def _cmd_ultra_build(args, config):
-    space = _load_space(args.space)
-    if not isinstance(space, FiniteMetricSpace):
-        space = FiniteMetricSpace.from_coords(space.points)
+    space = as_finite_space(_load_space(args.space))
     check = ultra.validate_ultrametric(space)
     report = {"is_ultrametric": check.is_ultrametric}
     base = space
@@ -404,7 +400,6 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     config = RunConfig(seed=getattr(args, "seed", 0),
-                       tolerance=get_tolerance(),
                        cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
                        out=getattr(args, "out", None))
     try:

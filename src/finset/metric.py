@@ -236,12 +236,21 @@ class FiniteMetricSpace:
 
 
 def as_finite_space(space, tol=None, validate=True):
-    """Materialize a line space as a FiniteMetricSpace on its listed points."""
+    """Materialize a space as a FiniteMetricSpace on its listed points.
+
+    Takes a FiniteMetricSpace (returned as is), a space with listed
+    ``points``, or a plain sequence of coordinates.  Tuple points get
+    Euclidean distances; scalar points lie on the line at distance exactly
+    ``|x - y|``.
+    """
     if isinstance(space, FiniteMetricSpace):
         return space
-    pts = [float(p) for p in space.points]
-    if not pts:
-        raise ValueError("line space has no listed points")
+    coords = list(getattr(space, "points", space))
+    if not coords:
+        raise ValueError("space has no listed points")
+    if any(isinstance(c, (tuple, list)) for c in coords):
+        return FiniteMetricSpace.from_coords(coords, tol=tol, validate=validate)
+    pts = [float(p) for p in coords]
     arr = np.asarray(pts)
     return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]),
                              tol=tol, validate=validate)

@@ -15,6 +15,7 @@ from .metric import (
     FSet,
     FiniteMetricSpace,
     _resolve_tol,
+    as_finite_space,
     enumerate_fsets,
     hausdorff,
 )
@@ -81,19 +82,13 @@ class MetricTransform:
         raise ValueError("transform JSON needs kind power or table")
 
 
-def _as_finite(space):
-    if isinstance(space, FiniteMetricSpace):
-        return space
-    return FiniteMetricSpace.from_coords(getattr(space, "points", space))
-
-
 def apply_transform(space, transform, tol=None):
     """Rewrite all distances through the transform and revalidate.
 
     Raises when φ∘d violates the metric axioms on some triple; powers with
     alpha ≤ 1 always pass, and powers above 1 pass on ultrametric spaces.
     """
-    space = _as_finite(space)
+    space = as_finite_space(space)
     return FiniteMetricSpace(space.points, transform(space.dist), tol=tol)
 
 
@@ -130,14 +125,14 @@ def rescale(space, eps):
     unchanged when both sides are rescaled together."""
     if not eps > 0:
         raise ValueError("scale factor must be positive")
-    space = _as_finite(space)
+    space = as_finite_space(space)
     return FiniteMetricSpace(space.points, space.dist * float(eps), validate=False)
 
 
 def product_space(space_x, space_y):
     """Max-metric product: points are (x, y) pairs, distance the larger of
     the coordinate distances."""
-    X, Y = _as_finite(space_x), _as_finite(space_y)
+    X, Y = as_finite_space(space_x), as_finite_space(space_y)
     points = tuple(itertools.product(X.points, Y.points))
     D = np.maximum(X.dist[:, None, :, None], Y.dist[None, :, None, :])
     n = len(points)
@@ -151,7 +146,7 @@ def disjoint_union(space_x, space_y, cross):
     cross is at least half of each diameter; the returned space is fully
     revalidated, so a cross-distance that is too small raises.
     """
-    X, Y = _as_finite(space_x), _as_finite(space_y)
+    X, Y = as_finite_space(space_x), as_finite_space(space_y)
     points = tuple((0, p) for p in X.points) + tuple((1, q) for q in Y.points)
     a, b = len(X.points), len(Y.points)
     D = np.full((a + b, a + b), float(cross))
@@ -208,6 +203,14 @@ class QhModulus:
         return 0.0 if i == 0 else etas[i - 1]
 
 
+def _disjoint_pairs(pairs):
+    """Mask over ordered pairs of index pairs: True where the two pairs share
+    no index, so that together they name four distinct elements."""
+    ii, jj = np.array(pairs).T
+    return ((ii[:, None] != ii[None, :]) & (ii[:, None] != jj[None, :])
+            & (jj[:, None] != ii[None, :]) & (jj[:, None] != jj[None, :]))
+
+
 def estimate_qh_modulus(f, space_x, space_y):
     """Tabulate the worst downstream ratio per upstream ratio bound.
 
@@ -215,7 +218,7 @@ def estimate_qh_modulus(f, space_x, space_y):
     (upstream ratio, downstream ratio), and returns the running-maximum step
     function as a table QhModulus.
     """
-    X, Y = _as_finite(space_x), _as_finite(space_y)
+    X, Y = as_finite_space(space_x), as_finite_space(space_y)
     pts = X.points
     if len(pts) < 4:
         raise ValueError("need at least 4 points to form quadruples")
@@ -223,10 +226,7 @@ def estimate_qh_modulus(f, space_x, space_y):
     dx = np.array([X.dist[i, j] for i, j in pairs])
     fidx = [Y.index(f(p)) for p in pts]
     dy = np.array([Y.dist[fidx[i], fidx[j]] for i, j in pairs])
-    ii = np.array([i for i, _ in pairs])
-    jj = np.array([j for _, j in pairs])
-    disjoint = ((ii[:, None] != ii[None, :]) & (ii[:, None] != jj[None, :])
-                & (jj[:, None] != ii[None, :]) & (jj[:, None] != jj[None, :]))
+    disjoint = _disjoint_pairs(pairs)
     rx = (dx[:, None] / dx[None, :])[disjoint]
     ry = (dy[:, None] / dy[None, :])[disjoint]
     order = np.argsort(rx, kind="stable")
@@ -251,13 +251,19 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
     Enumerates X(n) upstream, pushes each subset through f, and requires
     Δ_Y(B1,B2) ≤ η(t) Δ_Y(B3,B4) whenever Δ_X(A1,A2) ≤ t Δ_X(A3,A4), which
     reduces to the downstream ratio at t = upstream ratio.  Linear moduli
-    use the closed form max ratio ≤ c · min ratio over set pairs.
+    use the closed form max ratio ≤ c · min ratio over set pairs, which also
+    ranges over set pairs that share a set.
+
+    ``quadruples`` counts what the condition ranges over in either mode: the
+    ordered pairs of set pairs made of four distinct sets, C(N, 2) C(N-2, 2)
+    for N sets.
     """
     tol = _resolve_tol(tol)
-    X, Y = _as_finite(space_x), _as_finite(space_y)
+    X, Y = as_finite_space(space_x), as_finite_space(space_y)
     sets = tuple(enumerate_fsets(X, n, cap=cap))
     images = [induced_subset_map(f, A) for A in sets]
     pairs = list(itertools.combinations(range(len(sets)), 2))
+    quadruples = math.comb(len(sets), 2) * math.comb(len(sets) - 2, 2)
     dx = np.array([hausdorff(sets[i], sets[j], X) for i, j in pairs])
     dy = np.array([hausdorff(images[i], images[j], Y) for i, j in pairs])
     if eta.kind == "linear":
@@ -266,11 +272,8 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
         hi, lo = int(np.argmax(ratio)), int(np.argmin(ratio))
         witness = (sets[pairs[hi][0]], sets[pairs[hi][1]],
                    sets[pairs[lo][0]], sets[pairs[lo][1]])
-        return QhCheckReport(worst <= tol, worst, witness, len(pairs) ** 2)
-    ii = np.array([i for i, _ in pairs])
-    jj = np.array([j for _, j in pairs])
-    disjoint = ((ii[:, None] != ii[None, :]) & (ii[:, None] != jj[None, :])
-                & (jj[:, None] != ii[None, :]) & (jj[:, None] != jj[None, :]))
+        return QhCheckReport(worst <= tol, worst, witness, quadruples)
+    disjoint = _disjoint_pairs(pairs)
     rx = dx[:, None] / dx[None, :]
     ry = dy[:, None] / dy[None, :]
     bound = np.vectorize(eta, otypes=[float])(rx)
@@ -279,4 +282,4 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
     a, b = np.unravel_index(int(np.argmax(excess)), excess.shape)
     witness = (sets[pairs[a][0]], sets[pairs[a][1]],
                sets[pairs[b][0]], sets[pairs[b][1]])
-    return QhCheckReport(worst <= tol, worst, witness, int(disjoint.sum()))
+    return QhCheckReport(worst <= tol, worst, witness, quadruples)

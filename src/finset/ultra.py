@@ -5,12 +5,12 @@ with its disconnection constant.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .metric import (FSet, FiniteMetricSpace, _resolve_tol, _ordered_points,
                      as_finite_space)
@@ -84,14 +84,22 @@ def _auto_levels(space):
     return range(k_low, k_high + 1)
 
 
+def _matrix(space):
+    """The distance matrix of a space and the row of each of its points,
+    keyed by the original identifiers (exact line points included)."""
+    return (as_finite_space(space, validate=False).dist,
+            {p: i for i, p in enumerate(space.points)})
+
+
 def build_centers(space, levels=None, tol=None):
     """Greedy center family of an ultrametric space at dyadic scales.
 
-    Points are scanned in sorted order per level; a point becomes a center
-    unless an existing center already covers it at that scale.  The default
-    level range runs from one step above the diameter down to one step below
-    the least positive distance, so the coarsest map collapses everything and
-    the finest is injective.  The family's contraction, displacement, and
+    Per level, the first unassigned point in sorted order becomes a center
+    and takes every unassigned point closer than the scale; in any metric
+    this sends each point to the earliest center that covers it.  The
+    default level range runs from one step above the diameter down to one
+    step below the least positive distance, so the coarsest map collapses
+    everything and the finest is injective.  The family's contraction, displacement, and
     separation properties are verified exhaustively before returning.
     """
     report = validate_ultrametric(space, tol)
@@ -104,20 +112,17 @@ def build_centers(space, levels=None, tol=None):
     if not levels:
         raise ValueError("at least one level is required")
     order = _ordered_points(space)
+    D, row = _matrix(space)
+    perm = [row[p] for p in order]
+    D = D[np.ix_(perm, perm)]
     maps = {}
     for k in levels:
         scale = 0.5 ** k
-        centers = []
-        assignment = {}
-        for p in order:
-            for c in centers:
-                if space.d(p, c) < scale:
-                    assignment[p] = c
-                    break
-            else:
-                centers.append(p)
-                assignment[p] = p
-        maps[k] = assignment
+        owner = np.full(len(order), -1)
+        for c in range(len(order)):
+            if owner[c] < 0:
+                owner[(owner < 0) & (D[c] < scale)] = c
+        maps[k] = {p: order[c] for p, c in zip(order, owner.tolist())}
     family = CenterFamily(levels, maps)
     verify_center_family(space, family, tol)
     return family
@@ -133,18 +138,28 @@ def verify_center_family(space, family, tol=None):
     tol = _resolve_tol(tol)
     L = family.lipschitz
     pts = list(space.points)
+    D, row = _matrix(space)
+    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
     for k in family.levels:
         s = family.scale(k)
         m = family.maps[k]
-        for p in pts:
-            if space.d(p, m[p]) > L * s + tol:
-                raise ValueError("level %d: point %r displaced beyond %g" % (k, p, L * s))
-        for p, q in itertools.combinations(pts, 2):
-            cp, cq = m[p], m[q]
-            if cp != cq and space.d(cp, cq) < s / L - tol:
-                raise ValueError("level %d: centers %r, %r too close" % (k, cp, cq))
-            if space.d(cp, cq) > L * space.d(p, q) + tol:
-                raise ValueError("level %d: map expands pair %r, %r" % (k, p, q))
+        c = np.array([row[m[p]] for p in pts], dtype=np.intp)
+        displaced = D[np.arange(len(pts)), c] > L * s + tol
+        if displaced.any():
+            p = pts[int(np.argmax(displaced))]
+            raise ValueError("level %d: point %r displaced beyond %g" % (k, p, L * s))
+        Dc = D[np.ix_(c, c)]
+        close = (c[:, None] != c[None, :]) & (Dc < s / L - tol)
+        expands = Dc > L * D + tol
+        # the first failing pair in row-major order over i < j; on one pair,
+        # "too close" is reported before "expands"
+        bad = (close | expands) & upper
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            if close[i, j]:
+                raise ValueError("level %d: centers %r, %r too close"
+                                 % (k, m[pts[i]], m[pts[j]]))
+            raise ValueError("level %d: map expands pair %r, %r" % (k, pts[i], pts[j]))
 
 
 def generic_retract(family, A, n, m):
@@ -222,30 +237,16 @@ def snowflake_retract(space, A, n, m, target_l, plan=None, tol=None):
 
 def subdominant_ultrametric(space, validate=True):
     """Largest ultrametric below the metric: the minimax chain distance,
-    realized by single-linkage merging."""
+    which is the cophenetic distance of single linkage (Gower & Ross 1969)."""
+    # imported here: scipy.cluster would add about 0.2 s to `import finset`
+    from scipy.cluster.hierarchy import cophenet, linkage
+
     space = as_finite_space(space, validate=False)
     n = len(space.points)
     rho = np.zeros((n, n))
-    parent = list(range(n))
-    members = {i: [i] for i in range(n)}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = sorted((space.dist[i, j], i, j)
-                   for i in range(n) for j in range(i + 1, n))
-    for w, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        for u in members[ri]:
-            for v in members[rj]:
-                rho[u, v] = rho[v, u] = w
-        members[ri].extend(members.pop(rj))
-        parent[rj] = ri
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        rho[i, j] = rho[j, i] = cophenet(linkage(space.dist[i, j], "single"))
     return FiniteMetricSpace(space.points, rho, validate=validate)
 
 
@@ -277,24 +278,14 @@ def disconnection_constant(space, validate=True):
     i, j = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
     c = float(ratios[i, j])
     bottleneck = rho[i, j]
-    adj = (D <= bottleneck) & off
-    prev = {i: None}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        if u == j:
-            break
-        for v in np.flatnonzero(adj[u]):
-            v = int(v)
-            if v not in prev:
-                prev[v] = u
-                queue.append(v)
-    if j not in prev:
+    # with directed=True on the symmetric graph, neighbours are visited in
+    # ascending index order, so the chain is the first breadth-first path
+    _, prev = breadth_first_order(csr_matrix((D <= bottleneck) & off), i,
+                                  directed=True, return_predecessors=True)
+    if prev[j] < 0:
         raise RuntimeError("no chain realizes the subdominant distance")
-    path = []
-    u = j
-    while u is not None:
-        path.append(space.points[u])
-        u = prev[u]
-    path.reverse()
+    path = [j]
+    while path[-1] != i:
+        path.append(int(prev[path[-1]]))
+    path = [space.points[u] for u in reversed(path)]
     return DisconnectionReport(c, (space.points[i], space.points[j]), tuple(path))

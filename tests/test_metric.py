@@ -24,6 +24,7 @@ from finset import (
     min_separation,
     space_from_json,
 )
+from finset.metric import as_finite_space
 
 
 def brute_hausdorff(A, B, d=None):
@@ -187,6 +188,19 @@ class TestSpaces:
     def test_from_coords_euclidean(self):
         sp = FiniteMetricSpace.from_coords([(0.0, 0.0), (3.0, 4.0)])
         assert sp.d((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+
+    def test_as_finite_space_inputs(self):
+        fsp = FiniteMetricSpace.from_coords([(0.0, 0.0), (3.0, 4.0)])
+        assert as_finite_space(fsp) is fsp
+        planar = as_finite_space([(0.0, 0.0), (3.0, 4.0)])
+        assert planar.d((0.0, 0.0), (3.0, 4.0)) == 5.0
+        # scalar points, raw or listed by a line space, sit at exactly |x - y|
+        for source in ([0.1, 0.7, 3.0], RealLineSpace([Fraction(1, 10), Fraction(7, 10), 3])):
+            sp = as_finite_space(source)
+            assert sp.points == [0.1, 0.7, 3.0]
+            assert sp.d(0.1, 0.7) == abs(0.1 - 0.7) and sp.d(0.7, 3.0) == 3.0 - 0.7
+        with pytest.raises(ValueError, match="no listed points"):
+            as_finite_space(RealLineSpace([]))
 
     def test_line_space_sorts_and_rejects_duplicates(self):
         assert RealLineSpace([1.0, 0.0]).points == [0.0, 1.0]

@@ -262,3 +262,11 @@ class TestCheckInducedQh:
         Y = apply_transform(X, MetricTransform("power", alpha=0.5))
         rep = check_induced_qh(lambda x: x, X, Y, 2, QhModulus.power(0.5))
         assert rep.ok
+
+    def test_both_modes_count_quadruples_of_distinct_sets(self):
+        # 6 points and n = 3 give N = 41 sets and P = 820 set pairs; the
+        # ordered pairs of set pairs with four distinct sets number
+        # P^2 - P - N(N-1)(N-2) = 607,620
+        X = RealLineSpace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        for eta in (QhModulus.linear(1.0), QhModulus.power(1.0)):
+            assert check_induced_qh(lambda x: x, X, X, 3, eta).quadruples == 607_620

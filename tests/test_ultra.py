@@ -1,6 +1,9 @@
 """Ultrametric machinery: center families, snowflaking, subdominant metric."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,59 @@ def brute_minimax(D, i, j):
     return best
 
 
+def lattice_cloud():
+    # a 3x2 grid with unequal spacings, so that many distances tie
+    return FiniteMetricSpace.from_coords(
+        [(0.3 * x, 0.7 * y) for x in range(3) for y in range(2)])
+
+
+def random_clouds(count, size, seed=7):
+    rng = np.random.default_rng(seed)
+    return [FiniteMetricSpace.from_coords([tuple(p) for p in rng.uniform(0, 1, size=(size, 2))])
+            for _ in range(count)]
+
+
+def plain_greedy(space, k):
+    # reference center map: each point, in sorted order, goes to the first
+    # earlier center within the scale, else becomes a center itself
+    centers, out = [], {}
+    for p in sorted(space.points):
+        c = next((c for c in centers if space.d(p, c) < 0.5 ** k), p)
+        if c == p:
+            centers.append(p)
+        out[p] = c
+    return out
+
+
+def plain_bfs_chain(space, a, b, bottleneck):
+    # reference chain: breadth-first search from a over steps of at most the
+    # bottleneck, neighbours taken in the order of space.points
+    pts = list(space.points)
+    prev = {a: None}
+    queue = [a]
+    for u in queue:
+        for v in pts:
+            if v not in prev and space.d(u, v) <= bottleneck:
+                prev[v] = u
+                queue.append(v)
+    chain = [b]
+    while prev[chain[-1]] is not None:
+        chain.append(prev[chain[-1]])
+    return tuple(reversed(chain))
+
+
+def test_import_leaves_scipy_cluster_and_spatial_unloaded():
+    # both are imported lazily; loading them would slow every `import finset`
+    import finset
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finset.__file__)))
+    code = ("import sys, finset; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.cluster', 'scipy.spatial'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestValidate:
     def test_line_is_not_ultrametric(self):
         report = validate_ultrametric(RealLineSpace([0.0, 1.0, 3.0, 7.0]))
@@ -67,10 +123,14 @@ class TestCenterFamily:
         assert fam.tau_set(3, (0.0, 0.125)) == FSet((0.0, 0.125))
 
     def test_family_properties_on_dendrograms(self):
-        for seed in (0, 1):
-            sp = dendrogram_space(random_dendrogram(6, seed=seed))
+        spaces = [dendrogram_space(random_dendrogram(6, seed=seed)) for seed in (0, 1, 2)]
+        spaces += [subdominant_ultrametric(random_clouds(1, 12)[0]),
+                   subdominant_ultrametric(lattice_cloud())]
+        for sp in spaces:
             fam = build_centers(sp)
             verify_center_family(sp, fam)
+            for k in fam.levels:
+                assert fam.maps[k] == plain_greedy(sp, k)
             coarsest, finest = fam.levels[0], fam.levels[-1]
             assert len(set(fam.maps[coarsest].values())) == 1
             assert len(set(fam.maps[finest].values())) == len(sp.points)
@@ -86,9 +146,16 @@ class TestCenterFamily:
         bad_maps = dict(fam.maps)
         far = max(sp.points, key=lambda q: sp.d(sp.points[0], q))
         bad_maps[k] = {p: far for p in sp.points}
-        bad = CenterFamily(fam.levels, bad_maps)
-        with pytest.raises(ValueError):
-            verify_center_family(sp, bad)
+        cases = [(sp, CenterFamily(fam.levels, bad_maps), "point 1 displaced beyond")]
+        # at scale 2 on the integer points 0, 1, 3 each check fails alone
+        line = RealLineSpace([0, 1, 3])
+        for tau, message in (({0: 3, 1: 1, 3: 3}, "level -1: point 0 displaced beyond 2"),
+                             ({0: 0, 1: 1, 3: 3}, "level -1: centers 0, 1 too close"),
+                             ({0: 0, 1: 3, 3: 3}, "level -1: map expands pair 0, 1")):
+            cases.append((line, CenterFamily((-1,), {-1: tau}), message))
+        for space, bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                verify_center_family(space, bad)
 
 
 class TestGenericRetract:
@@ -166,15 +233,13 @@ class TestSubdominant:
         assert list(rho.dist[0]) == [0.0, 1.0, 2.0, 4.0]
 
     def test_matches_brute_minimax(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            pts = rng.uniform(0, 1, size=(6, 2))
-            sp = FiniteMetricSpace.from_coords([tuple(p) for p in pts])
+        for sp in random_clouds(5, 6) + [lattice_cloud()]:
             rho = subdominant_ultrametric(sp)
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    assert rho.dist[i, j] == pytest.approx(
-                        brute_minimax(sp.dist, i, j), abs=1e-12)
+            n = len(sp.points)
+            for i in range(n):
+                for j in range(n):
+                    expected = 0.0 if i == j else brute_minimax(sp.dist, i, j)
+                    assert rho.dist[i, j] == expected
 
     def test_output_is_ultrametric_and_below(self):
         pts = [0.0, 0.3, 1.1, 2.0, 5.0]
@@ -201,13 +266,16 @@ class TestDisconnection:
         assert report.constant == pytest.approx(7 / 20)
 
     def test_chain_realizes_bottleneck(self):
-        sp = RealLineSpace([0.0, 1.0, 3.0, 7.0])
-        report = disconnection_constant(sp)
-        a, b = report.witness
-        assert report.chain[0] == a and report.chain[-1] == b
-        bottleneck = report.constant * sp.d(a, b)
-        for u, v in zip(report.chain, report.chain[1:]):
-            assert sp.d(u, v) <= bottleneck + 1e-12
+        spaces = [RealLineSpace([0.0, 1.0, 3.0, 7.0]), lattice_cloud(),
+                  cantor_space(1 / 3, 3)] + random_clouds(3, 15, seed=11)
+        for sp in spaces:
+            report = disconnection_constant(sp)
+            a, b = report.witness
+            assert report.chain[0] == a and report.chain[-1] == b
+            bottleneck = subdominant_ultrametric(sp).d(a, b)
+            assert report.chain == plain_bfs_chain(sp, a, b, bottleneck)
+            for u, v in zip(report.chain, report.chain[1:]):
+                assert sp.d(u, v) <= bottleneck
 
     def test_ultrametric_space_has_constant_one(self):
         sp = dendrogram_space(random_dendrogram(6, seed=5))
