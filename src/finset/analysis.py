@@ -34,7 +34,9 @@ from .metric import (
 )
 
 _PAIR_BUDGET = 20000
-_BLOCK_BYTES = 2.0e8
+# sets per block side: a 128 x 128 float64 block is 128 KiB and stays in
+# cache, where 1024 x 1024 (8 MiB) does not
+_BLOCK = 128
 
 
 def _subset_count(num_points, n):
@@ -84,9 +86,10 @@ class _PackedFamily:
 
     ``idx`` is (num_sets, k) with each row the universe indices of one set,
     padded by repeating the first index (padding never changes Hausdorff
-    distances).  ``dmin`` is (num_sets, universe) with the distance from each
-    universe point to each set; a directed Hausdorff distance is then a
-    gather of k columns followed by a max.
+    distances).  ``dmin_t`` is (universe, num_sets), C-contiguous, with the
+    distance from each universe point to each set.  The directed Hausdorff
+    distances from one block of sets to another are then k contiguous row
+    gathers of ``dmin_t`` folded together by an in-place max.
     """
 
     def __init__(self, sets, key, lookup, dist_univ):
@@ -99,27 +102,32 @@ class _PackedFamily:
         self.idx = idx
         # dist_univ is either a square distance matrix or a 1-D array of
         # line positions; both yield (rows, universe) minima chunkwise
+        self.dmin_t = np.empty((dist_univ.shape[0], len(sets)))
         chunk = max(1, int(2e7) // max(1, k * dist_univ.shape[0]))
-        parts = []
         for r in range(0, len(sets), chunk):
             rows = idx[r:r + chunk]
             if dist_univ.ndim == 1:
                 gap = np.abs(dist_univ[rows][:, :, None] - dist_univ[None, None, :])
-                parts.append(gap.min(axis=1))
+                part = gap.min(axis=1)
             else:
-                parts.append(dist_univ[rows].min(axis=1))
-        self.dmin = np.concatenate(parts) if len(parts) > 1 else parts[0]
+                part = dist_univ[rows].min(axis=1)
+            self.dmin_t[:, r:r + chunk] = part.T
 
 
-def _hausdorff_block(fam, i0, j0, block):
+def _directed_block(fam, rows, c0):
+    """Directed Hausdorff distances from each set of ``rows`` to the block
+    of sets starting at c0: the max over each row's points of their minima."""
+    out = fam.dmin_t[rows[:, 0], c0:c0 + _BLOCK]
+    for c in range(1, rows.shape[1]):
+        np.maximum(out, fam.dmin_t[rows[:, c], c0:c0 + _BLOCK], out=out)
+    return out
+
+
+def _hausdorff_block(fam, i0, j0):
     """Pairwise Hausdorff distances between two row blocks of a family."""
-    ia = fam.idx[i0:i0 + block]
-    jb = fam.idx[j0:j0 + block]
-    forward = np.take(fam.dmin[j0:j0 + block], ia.ravel(), axis=1)
-    forward = forward.reshape(-1, *ia.shape).max(axis=2).T
-    backward = np.take(fam.dmin[i0:i0 + block], jb.ravel(), axis=1)
-    backward = backward.reshape(-1, *jb.shape).max(axis=2)
-    return np.maximum(forward, backward)
+    forward = _directed_block(fam, fam.idx[i0:i0 + _BLOCK], j0)
+    backward = _directed_block(fam, fam.idx[j0:j0 + _BLOCK], i0)
+    return np.maximum(forward, backward.T, out=forward)
 
 
 def _universe(sets, images, space):
@@ -135,24 +143,18 @@ def _universe(sets, images, space):
     return float, lookup, np.array(vals)
 
 
-def _block_size(k_dom, k_img):
-    b = math.sqrt(_BLOCK_BYTES / (32.0 * max(k_dom, k_img)))
-    return max(64, min(1024, int(b)))
-
-
 def _exhaustive_search(sets, images, space, beta):
     key, lookup, dist_univ = _universe(sets, images, space)
     dom = _PackedFamily(sets, key, lookup, dist_univ)
     img = _PackedFamily(images, key, lookup, dist_univ)
     N = len(sets)
-    block = _block_size(dom.idx.shape[1], img.idx.shape[1])
     best = -math.inf
     arg = None
     pairs = 0
-    for i0 in range(0, N, block):
-        for j0 in range(i0, N, block):
-            Hd = _hausdorff_block(dom, i0, j0, block)
-            Hi = _hausdorff_block(img, i0, j0, block)
+    for i0 in range(0, N, _BLOCK):
+        for j0 in range(i0, N, _BLOCK):
+            Hd = _hausdorff_block(dom, i0, j0)
+            Hi = _hausdorff_block(img, i0, j0)
             mask = Hd > 0
             if beta != 1.0:
                 denom = np.power(Hd, beta, out=np.ones_like(Hd), where=mask)
@@ -184,6 +186,7 @@ def _sampled_search(space, n, beta, seed, budget, image):
     pos = {p: i for i, p in enumerate(pts)}
     scored = {}
     best = [-math.inf, None, None]
+    top = []  # min-heap of the six largest (ratio, key) scored so far
 
     def score(A, B):
         ka, kb = A.elements, B.elements
@@ -193,6 +196,10 @@ def _sampled_search(space, n, beta, seed, budget, image):
         dd = hausdorff(A, B, space)
         r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / dd ** beta
         scored[key] = r
+        if len(top) < 6:
+            heapq.heappush(top, (r, key))
+        elif (r, key) > top[0]:
+            heapq.heapreplace(top, (r, key))
         if r > best[0] or (r == best[0] and key < (best[1].elements, best[2].elements)):
             best[0], best[1], best[2] = r, FSet(key[0]), FSet(key[1])
 
@@ -247,9 +254,8 @@ def _sampled_search(space, n, beta, seed, budget, image):
         score(A, B)
     stale = 0
     while len(scored) < budget and stale < 40:
-        elites = heapq.nlargest(6, scored.items(), key=lambda kv: (kv[1], kv[0]))
         before = len(scored)
-        for (ka, kb), _ in elites:
+        for _, (ka, kb) in sorted(top, reverse=True):
             for A, B in neighbors(FSet(ka), FSet(kb)):
                 score(A, B)
                 if len(scored) >= budget:

@@ -25,7 +25,10 @@ from .metric import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by all commands; identical configs give identical reports."""
+    """Settings of one run; identical configs give identical reports.
+
+    ``seed`` and ``cap`` come from ``estimate-lip``; other commands keep the
+    defaults."""
 
     seed: int = 0
     cap: int = DEFAULT_ENUMERATION_CAP
@@ -313,7 +316,8 @@ def _cmd_ultra_build(args, config):
     base = space
     if not check.is_ultrametric:
         sub = ultra.subdominant_ultrametric(space)
-        disc = ultra.disconnection_constant(space)
+        # sub is validated already; build_centers still checks ultrametricity
+        disc = ultra.disconnection_constant(space, validate=False)
         report["disconnection_constant"] = disc.constant
         report["disconnection_witness"] = list(disc.witness) if disc.witness else None
         base = sub
@@ -348,8 +352,6 @@ def build_parser():
     def common(p, space_required=True):
         p.add_argument("--space", required=space_required,
                        help="generator spec: inline JSON or a path to a JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
         p.add_argument("--out", help="write the report here instead of stdout")
 
     common(sub.add_parser("validate", help="check metric and ultrametric axioms"))
@@ -375,6 +377,11 @@ def build_parser():
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--target-l", type=float, default=1.25)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="largest X(n) searched exhaustively; above it the "
+                        "search is sampled")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled search")
 
     p = sub.add_parser("witness", help="exact chain witness against Lipschitz deletion")
     common(p, space_required=False)

@@ -1,6 +1,7 @@
 """Constant estimation, path machinery, and the exact obstruction witness."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from finset import (
     check_displacement,
     decompose_path,
     delete_min_retract,
+    enumerate_fsets,
     estimate_constant,
     hausdorff,
     line_retract,
@@ -109,6 +111,48 @@ class TestEstimateConstant:
             estimate_constant(lambda A: A, [FSet((0.0,))])
         with pytest.raises(ValueError, match="distance 0"):
             estimate_constant(lambda A: A, [FSet((0.0,)), FSet((0.0,))])
+
+
+def assert_kernel_matches_brute(f, sets, beta, space=None):
+    # in lexicographic order the kernel's least (i, j) and the reference's
+    # least (A, B) name the same witness among tied ratios
+    sets = sorted(sets, key=lambda S: S.elements)
+    rep = estimate_constant(f, sets, hoelder_exponent=beta, space=space)
+    best, arg = brute_best_ratio(functools.lru_cache(maxsize=None)(f), sets, beta, space)
+    assert rep.mode == "exhaustive"
+    assert rep.constant == pytest.approx(best, rel=1e-12)
+    assert (tuple(rep.witness[0]), tuple(rep.witness[1])) == arg
+    assert rep.pairs_examined == len(sets) * (len(sets) - 1) // 2
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+class TestExhaustiveKernel:
+    """The blocked Hausdorff kernel against pair-by-pair brute force.
+
+    Every domain mixes set sizes 1 to 3, so padded rows are exercised.
+    """
+
+    def test_fraction_points_within_one_block(self, beta):
+        sp = RealLineSpace([Fraction(0)] + [Fraction(1, k) for k in range(1, 8)])
+        sets = enumerate_fsets(sp, 3)
+        assert len(sets) == 92
+        assert_kernel_matches_brute(lambda A: delete_min_retract(A, 3), sets, beta)
+
+    def test_several_blocks_with_ties_across_blocks(self, beta):
+        # 298 = 2 * 128 + 42 sets; at beta = 1 the constant 5 is attained by
+        # 53 pairs spread over five pairs of blocks
+        sp = RealLineSpace([k / 8 for k in range(12)])
+        sets = enumerate_fsets(sp, 3)
+        assert len(sets) == 298
+        assert_kernel_matches_brute(lambda A: line_retract(A, 3), sets, beta)
+
+    def test_lattice_space_one_set_past_a_block(self, beta):
+        sp = FiniteMetricSpace.from_coords([(x, y) for x in range(3) for y in range(3)])
+        sets = enumerate_fsets(sp, 3)
+        assert len(sets) == 129
+        shift = dict(zip(sp.points, sp.points[3:] + sp.points[:3]))
+        assert_kernel_matches_brute(lambda A: FSet(list(A)[:2]), sets, beta, sp)
+        assert_kernel_matches_brute(lambda A: FSet(shift[p] for p in A), sets, beta, sp)
 
 
 class TestCheckDisplacement:

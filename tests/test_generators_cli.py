@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finset import FiniteMetricSpace, IntervalUnion, RealLineSpace, cli
+from finset import FiniteMetricSpace, IntervalUnion, RealLineSpace, cli, ultra
 from finset.cli import next_csv_row
 from finset.generators import (
     cantor_points,
@@ -261,6 +261,34 @@ class TestCli:
         assert report["disconnection_constant"] == pytest.approx(0.5)
         assert report["generic_bound"] == 5.0
         assert report["centers_per_level"][0] == 1
+
+    def test_ultra_build_matches_api_on_cloud(self, capsys):
+        rng = np.random.default_rng(3)
+        spec = FiniteMetricSpace.from_coords(rng.uniform(size=(12, 2)).tolist()).to_json()
+        code, out, _ = run_cli(capsys, ["ultra-build", "--space", json.dumps(spec)])
+        assert code == 0
+        cloud = generate(spec)
+        disc = ultra.disconnection_constant(cloud)
+        family = ultra.build_centers(ultra.subdominant_ultrametric(cloud))
+        expected = {
+            "is_ultrametric": False,
+            "disconnection_constant": disc.constant,
+            "disconnection_witness": list(disc.witness),
+            "levels": list(family.levels),
+            "scales": [family.scale(k) for k in family.levels],
+            "centers_per_level": [len(set(family.maps[k].values()))
+                                  for k in family.levels],
+            "generic_bound": ultra.generic_retract_bound(),
+        }
+        assert json.loads(out) == cli._jsonable(expected)
+
+    def test_seed_and_cap_belong_to_estimate_lip(self, capsys):
+        for flag in ("--cap", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["validate", "--space", '{"kind": "harmonic", "K": 4}',
+                         flag, "5"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: %s 5" % flag in capsys.readouterr().err
 
     def test_space_file_input(self, capsys, tmp_path):
         spec = tmp_path / "space.json"
