@@ -71,7 +71,12 @@ class SubsetDomain:
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """Best observed ratio Δ(f(A), f(B)) / Δ(A, B)^β over a pair search."""
+    """Best observed ratio Δ(f(A), f(B)) / Δ(A, B)^β over a pair search.
+
+    ``stop_reason`` says why the search ended: ``"exhaustive"`` after every
+    pair, ``"budget"`` when a sampled search used up its pair budget, and
+    ``"stale"`` when its hill climb stopped finding new pairs first.
+    """
 
     kind: str
     exponent: float
@@ -79,6 +84,7 @@ class ConstantReport:
     witness: tuple
     pairs_examined: int
     mode: str
+    stop_reason: str
 
 
 class _PackedFamily:
@@ -128,6 +134,28 @@ def _hausdorff_block(fam, i0, j0):
     forward = _directed_block(fam, fam.idx[i0:i0 + _BLOCK], j0)
     backward = _directed_block(fam, fam.idx[j0:j0 + _BLOCK], i0)
     return np.maximum(forward, backward.T, out=forward)
+
+
+def _pair_distances(sets, space):
+    """Hausdorff distances of all pairs i < j of ``sets``, in
+    ``np.triu_indices(len(sets), 1)`` order.
+
+    They are the same floats as ``hausdorff(sets[i], sets[j], space)``,
+    which reads d(a, b) with a in sets[i] in both directions.  A distance
+    matrix may be symmetric only within tolerance, so the forward direction
+    gathers its minima from the transposed matrix.
+    """
+    key, lookup, dist_univ = _universe(sets, (), space)
+    fwd = _PackedFamily(sets, key, lookup, dist_univ.T)
+    bwd = _PackedFamily(sets, key, lookup, dist_univ)
+    N = len(sets)
+    H = np.zeros((N, N))
+    for i0 in range(0, N, _BLOCK):
+        for j0 in range(i0, N, _BLOCK):
+            H[i0:i0 + _BLOCK, j0:j0 + _BLOCK] = np.maximum(
+                _directed_block(fwd, fwd.idx[i0:i0 + _BLOCK], j0),
+                _directed_block(bwd, bwd.idx[j0:j0 + _BLOCK], i0).T)
+    return H[np.triu_indices(N, 1)]
 
 
 def _universe(sets, images, space):
@@ -265,7 +293,8 @@ def _sampled_search(space, n, beta, seed, budget, image):
         stale = stale + 1 if len(scored) == before else 0
     if best[1] is None:
         raise ValueError("all sampled pairs are at distance 0")
-    return best[0], (best[1], best[2]), len(scored)
+    stop = "budget" if len(scored) >= budget else "stale"
+    return best[0], (best[1], best[2]), len(scored), stop
 
 
 def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
@@ -295,8 +324,8 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     if isinstance(domain, SubsetDomain):
         space = domain.space
         if not domain.exhaustive:
-            c, w, p = _sampled_search(space, domain.n, beta, seed, pair_budget, image)
-            return ConstantReport(kind, beta, c, w, p, "sampled")
+            c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, image)
+            return ConstantReport(kind, beta, c, w, p, "sampled", stop)
         sets = domain.sets
     else:
         sets = tuple(domain)
@@ -304,7 +333,7 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
         raise ValueError("domain must contain at least two subsets")
     images = [image(A) for A in sets]
     c, w, p = _exhaustive_search(sets, images, space, beta)
-    return ConstantReport(kind, beta, c, w, p, "exhaustive")
+    return ConstantReport(kind, beta, c, w, p, "exhaustive", "exhaustive")
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,7 @@ def _cmd_estimate_lip(args, config):
             "exponent": report.exponent,
             "witness": [report.witness[0], report.witness[1]],
             "pairs_examined": report.pairs_examined, "mode": report.mode,
+            "stop_reason": report.stop_reason,
         }, config.out)
     return 0
 

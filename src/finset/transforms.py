@@ -11,13 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _BLOCK, _pair_distances
 from .metric import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     FSet,
     FiniteMetricSpace,
     _resolve_tol,
     as_finite_space,
     enumerate_fsets,
-    hausdorff,
 )
 
 
@@ -203,30 +205,37 @@ class QhModulus:
         return 0.0 if i == 0 else etas[i - 1]
 
 
-def _disjoint_pairs(pairs):
-    """Mask over ordered pairs of index pairs: True where the two pairs share
-    no index, so that together they name four distinct elements."""
-    ii, jj = np.array(pairs).T
-    return ((ii[:, None] != ii[None, :]) & (ii[:, None] != jj[None, :])
-            & (jj[:, None] != ii[None, :]) & (jj[:, None] != jj[None, :]))
+def _disjoint_pairs(first, second):
+    """Mask over pairs (first[a], second[b]) of index pairs, each given as
+    two index arrays: True where they share no index, so that together they
+    name four distinct elements."""
+    (i, j), (k, m) = first, second
+    i, j, k, m = i[:, None], j[:, None], k[None, :], m[None, :]
+    return (i != k) & (i != m) & (j != k) & (j != m)
 
 
-def estimate_qh_modulus(f, space_x, space_y):
+def estimate_qh_modulus(f, space_x, space_y, cap=None):
     """Tabulate the worst downstream ratio per upstream ratio bound.
 
     Scans every pair of disjoint point pairs (four distinct points), records
     (upstream ratio, downstream ratio), and returns the running-maximum step
-    function as a table QhModulus.
+    function as a table QhModulus.  The scan holds arrays over all pairs of
+    point pairs, so more than ``cap`` point pairs (default
+    DEFAULT_ENUMERATION_CAP) raise EnumerationCapError before any is built.
     """
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     X, Y = as_finite_space(space_x), as_finite_space(space_y)
     pts = X.points
     if len(pts) < 4:
         raise ValueError("need at least 4 points to form quadruples")
-    pairs = list(itertools.combinations(range(len(pts)), 2))
-    dx = np.array([X.dist[i, j] for i, j in pairs])
-    fidx = [Y.index(f(p)) for p in pts]
-    dy = np.array([Y.dist[fidx[i], fidx[j]] for i, j in pairs])
-    disjoint = _disjoint_pairs(pairs)
+    pairs = math.comb(len(pts), 2)
+    if pairs > cap:
+        raise EnumerationCapError("%d point pairs exceed the cap of %d" % (pairs, cap))
+    ii, jj = np.triu_indices(len(pts), 1)
+    fidx = np.array([Y.index(f(p)) for p in pts])
+    dx = X.dist[ii, jj]
+    dy = Y.dist[fidx[ii], fidx[jj]]
+    disjoint = _disjoint_pairs((ii, jj), (ii, jj))
     rx = (dx[:, None] / dx[None, :])[disjoint]
     ry = (dy[:, None] / dy[None, :])[disjoint]
     order = np.argsort(rx, kind="stable")
@@ -248,38 +257,70 @@ class QhCheckReport:
 def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
     """Check the quadruple condition for the induced map on subsets.
 
-    Enumerates X(n) upstream, pushes each subset through f, and requires
-    Δ_Y(B1,B2) ≤ η(t) Δ_Y(B3,B4) whenever Δ_X(A1,A2) ≤ t Δ_X(A3,A4), which
-    reduces to the downstream ratio at t = upstream ratio.  Linear moduli
-    use the closed form max ratio ≤ c · min ratio over set pairs, which also
-    ranges over set pairs that share a set.
+    Enumerates X(n) upstream (more than ``cap`` subsets, default
+    DEFAULT_ENUMERATION_CAP, raise EnumerationCapError), pushes each subset
+    through f, and requires Δ_Y(B1,B2) ≤ η(t) Δ_Y(B3,B4) whenever
+    Δ_X(A1,A2) ≤ t Δ_X(A3,A4), which reduces to the downstream ratio at
+    t = upstream ratio.  Linear moduli use the closed form max ratio ≤
+    c · min ratio over set pairs, which also ranges over set pairs that
+    share a set.
+
+    Other moduli scan the excess Δ_Y(B1,B2)/Δ_Y(B3,B4) − η(Δ_X(A1,A2)/
+    Δ_X(A3,A4)) over ordered pairs (a, b) of set pairs in square tiles, so
+    memory stays linear in the number of set pairs.  A Hausdorff distance
+    between finite sets is a distance between two points, so the upstream
+    distances take at most C(|X|, 2) distinct values; η is called once per
+    ratio of two of them, on a Python float, and each tile gathers its
+    bounds from that table.  More distinct distances than ``cap`` raise
+    EnumerationCapError.  The report names the first pair (a, b) in
+    row-major order with the largest excess, or with a NaN excess (0/0 when
+    f maps two sets to one image) if there is one, as ``np.argmax`` would.
 
     ``quadruples`` counts what the condition ranges over in either mode: the
     ordered pairs of set pairs made of four distinct sets, C(N, 2) C(N-2, 2)
     for N sets.
     """
     tol = _resolve_tol(tol)
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     X, Y = as_finite_space(space_x), as_finite_space(space_y)
     sets = tuple(enumerate_fsets(X, n, cap=cap))
+    if len(sets) < 2:
+        raise ValueError("need at least two sets to form set pairs")
     images = [induced_subset_map(f, A) for A in sets]
-    pairs = list(itertools.combinations(range(len(sets)), 2))
+    ii, jj = np.triu_indices(len(sets), 1)
     quadruples = math.comb(len(sets), 2) * math.comb(len(sets) - 2, 2)
-    dx = np.array([hausdorff(sets[i], sets[j], X) for i, j in pairs])
-    dy = np.array([hausdorff(images[i], images[j], Y) for i, j in pairs])
+    dx, dy = _pair_distances(sets, X), _pair_distances(images, Y)
+
+    def report(worst, a, b):
+        witness = (sets[ii[a]], sets[jj[a]], sets[ii[b]], sets[jj[b]])
+        return QhCheckReport(worst <= tol, worst, witness, quadruples)
+
     if eta.kind == "linear":
         ratio = dy / dx
         worst = float(ratio.max() - eta.coefficient * ratio.min())
-        hi, lo = int(np.argmax(ratio)), int(np.argmin(ratio))
-        witness = (sets[pairs[hi][0]], sets[pairs[hi][1]],
-                   sets[pairs[lo][0]], sets[pairs[lo][1]])
-        return QhCheckReport(worst <= tol, worst, witness, quadruples)
-    disjoint = _disjoint_pairs(pairs)
-    rx = dx[:, None] / dx[None, :]
-    ry = dy[:, None] / dy[None, :]
-    bound = np.vectorize(eta, otypes=[float])(rx)
-    excess = np.where(disjoint, ry - bound, -np.inf)
-    worst = float(excess.max())
-    a, b = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    witness = (sets[pairs[a][0]], sets[pairs[a][1]],
-               sets[pairs[b][0]], sets[pairs[b][1]])
-    return QhCheckReport(worst <= tol, worst, witness, quadruples)
+        return report(worst, int(np.argmax(ratio)), int(np.argmin(ratio)))
+    ux, code = np.unique(dx, return_inverse=True)
+    if len(ux) > cap:
+        raise EnumerationCapError("%d distinct set distances exceed the cap of %d"
+                                  % (len(ux), cap))
+    # scalar calls: numpy's array power can differ from pow in the last bit
+    table = np.array([[eta(float(p / q)) for q in ux] for p in ux], dtype=float)
+    # the running pick ranks a NaN first, then the larger excess, then the
+    # earlier cell; the first tile holds cell (0, 0), which is never disjoint
+    best, worst = (1, math.inf, (0, 0)), -math.inf
+    for a0 in range(0, len(dx), _BLOCK):
+        a = slice(a0, a0 + _BLOCK)
+        bounds = table[code[a]]
+        for b0 in range(0, len(dx), _BLOCK):
+            b = slice(b0, b0 + _BLOCK)
+            excess = dy[a, None] / dy[None, b]
+            excess -= bounds[:, code[b]]
+            excess[~_disjoint_pairs((ii[a], jj[a]), (ii[b], jj[b]))] = -np.inf
+            k = int(np.argmax(excess))
+            peak = float(excess.flat[k])
+            row, col = divmod(k, excess.shape[1])
+            cand = (a0 + row, b0 + col)
+            key = (0, 0.0, cand) if math.isnan(peak) else (1, -peak, cand)
+            if key < best:
+                best, worst = key, peak
+    return report(worst, *best[2])

@@ -30,6 +30,7 @@ from finset import (
     split_gh,
     validate_obstruction_witness,
 )
+from finset import analysis
 from finset.generators import harmonic_space, parabola_space
 
 
@@ -67,6 +68,7 @@ class TestEstimateConstant:
         rep = estimate_constant(lambda A: delete_min_retract(A, 4), dom)
         assert rep.kind == "lipschitz"
         assert rep.constant == pytest.approx(9.0, rel=1e-9)
+        assert rep.stop_reason == "exhaustive"
         sqrt_rep = estimate_constant(lambda A: delete_min_retract(A, 4), dom,
                                      hoelder_exponent=0.5)
         assert sqrt_rep.kind == "hoelder"
@@ -92,6 +94,8 @@ class TestEstimateConstant:
         rep2 = estimate_constant(f, small, seed=5, pair_budget=3000)
         assert rep1.mode == "sampled"
         assert rep1.constant == rep2.constant and rep1.witness == rep2.witness
+        # the hill climb runs out of new pairs at 1,631 of 3,000
+        assert (rep1.pairs_examined, rep1.stop_reason) == (1631, "stale")
         assert rep1.constant <= 9.0 + 1e-9
 
     def test_sampled_finds_extremal_pair_here(self):
@@ -153,6 +157,20 @@ class TestExhaustiveKernel:
         shift = dict(zip(sp.points, sp.points[3:] + sp.points[:3]))
         assert_kernel_matches_brute(lambda A: FSet(list(A)[:2]), sets, beta, sp)
         assert_kernel_matches_brute(lambda A: FSet(shift[p] for p in A), sets, beta, sp)
+
+
+def test_pair_distances_keep_the_orientation_of_hausdorff():
+    # a matrix symmetric only within tolerance, as shortest paths summed in
+    # two orders give: d(a, b) is one ulp larger when a comes first
+    lattice = FiniteMetricSpace.from_coords([(x, y) for x in range(3) for y in range(3)])
+    D = lattice.dist.copy()
+    upper = np.triu_indices(len(D), 1)
+    D[upper] = np.nextafter(D[upper], np.inf)
+    sp = FiniteMetricSpace(lattice.points, D)
+    sets = enumerate_fsets(sp, 3)
+    assert len(sets) == 129
+    got = analysis._pair_distances(sets, sp)
+    assert got.tolist() == [hausdorff(A, B, sp) for A, B in itertools.combinations(sets, 2)]
 
 
 class TestCheckDisplacement:

@@ -191,6 +191,7 @@ class TestCli:
         assert report["mode"] == "exhaustive"
         assert report["constant"] == pytest.approx(5.0, rel=1e-9)
         assert report["pairs_examined"] == 1953
+        assert report["stop_reason"] == "exhaustive"
 
     def test_estimate_lip_csv(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
@@ -200,7 +201,8 @@ class TestCli:
             "--n", "2", "--out", str(out_file)])
         assert code == 0
         header, row = out_file.read_text().splitlines()
-        assert header.split(",")[0] == "kind"
+        assert header.split(",") == ["kind", "constant", "exponent", "witness_a",
+                                     "witness_b", "pairs_examined", "mode"]
         cells = next_csv_row(row)
         assert cells[0] == "lipschitz"
         assert float(cells[1]) > 0
@@ -212,7 +214,18 @@ class TestCli:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
-        assert json.loads(out1)["mode"] == "sampled"
+        report = json.loads(out1)
+        assert report["mode"] == "sampled"
+        assert (report["pairs_examined"], report["stop_reason"]) == (500, "budget")
+
+    def test_estimate_lip_reports_stale_stop(self, capsys):
+        # the hill climb stops finding new pairs at about half the budget
+        _, out, _ = run_cli(capsys, [
+            "estimate-lip", "--map", "delete-min",
+            "--space", '{"kind": "harmonic", "K": 160}', "--n", "4",
+            "--budget", "20000", "--seed", "0"])
+        report = json.loads(out)
+        assert (report["pairs_examined"], report["stop_reason"]) == (11347, "stale")
 
     def test_witness_exact_fields(self, capsys):
         code, out, _ = run_cli(capsys, ["witness", "--L", "3/2"])

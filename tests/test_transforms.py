@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from finset import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     FSet,
     FiniteMetricSpace,
     MetricTransform,
@@ -19,12 +22,14 @@ from finset import (
     delete_min_retract,
     disjoint_union,
     doubling_ratio,
+    enumerate_fsets,
     estimate_constant,
     estimate_qh_modulus,
     hausdorff,
     induced_subset_map,
     product_space,
     rescale,
+    transforms,
     transport_constant,
 )
 
@@ -213,6 +218,24 @@ class TestEstimateQhModulus:
         with pytest.raises(ValueError):
             estimate_qh_modulus(lambda x: x, sp, sp)
 
+    def test_point_pairs_over_the_cap_raise_before_allocating(self):
+        # 64 points make 2,016 point pairs; the scan would hold arrays of
+        # 2,016^2 cells (32 MB as floats)
+        sp = RealLineSpace([float(i) for i in range(64)])
+        assert math.comb(64, 2) > DEFAULT_ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="2016 point pairs"):
+                estimate_qh_modulus(lambda x: x, sp, sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        four = RealLineSpace([0.0, 1.0, 3.0, 7.0])  # 6 point pairs
+        with pytest.raises(EnumerationCapError, match="6 point pairs"):
+            estimate_qh_modulus(lambda x: x, four, four, cap=5)
+        assert estimate_qh_modulus(lambda x: x, four, four, cap=6).kind == "table"
+
 
 class TestCheckInducedQh:
     def build_pair(self, stretch):
@@ -239,7 +262,6 @@ class TestCheckInducedQh:
         assert len(rep.witness) == 4
 
     def test_general_path_agrees_with_inline_oracle(self):
-        from finset import enumerate_fsets
         f, X, Y = self.build_pair(2.0)
         eta = QhModulus.power(1.0)  # identity modulus via the general path
         rep = check_induced_qh(f, X, Y, 2, eta)
@@ -270,3 +292,111 @@ class TestCheckInducedQh:
         X = RealLineSpace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         for eta in (QhModulus.linear(1.0), QhModulus.power(1.0)):
             assert check_induced_qh(lambda x: x, X, X, 3, eta).quadruples == 607_620
+
+    def test_default_cap_on_sets(self):
+        # 23 points give 2,047 sets of at most 3 points
+        X = RealLineSpace([float(i) for i in range(23)])
+        with pytest.raises(EnumerationCapError, match="2047 subsets"):
+            check_induced_qh(lambda x: x, X, X, 3, QhModulus.power(0.5))
+        with pytest.raises(EnumerationCapError, match="2047 subsets"):
+            check_induced_qh(lambda x: x, X, X, 3, QhModulus.linear(1.0))
+
+    def test_cap_on_distinct_distances(self):
+        # singletons of 64 generic points have 2,016 distinct distances, so
+        # the table of eta over their ratios would be 2,016 x 2,016
+        X = RealLineSpace(sorted(np.random.default_rng(0).random(64).tolist()))
+        with pytest.raises(EnumerationCapError, match="2016 distinct"):
+            check_induced_qh(lambda x: x, X, X, 1, QhModulus.power(0.5))
+        assert check_induced_qh(lambda x: x, X, X, 1, QhModulus.linear(1.0)).ok
+
+
+def _divide(x, y):
+    # IEEE division of distances (x, y >= 0), as numpy arrays divide
+    if y == 0:
+        return math.nan if x == 0 else math.inf
+    return x / y
+
+
+def brute_check_induced_qh(f, X, Y, n, eta):
+    """Pure-Python quadruple scan: scalar hausdorff per set pair, scalar eta
+    per quadruple, and the first pair (a, b) of set pairs in row-major order
+    that has a NaN excess, else the largest one."""
+    sets = enumerate_fsets(X, n)
+    images = [induced_subset_map(f, A) for A in sets]
+    pairs = list(itertools.combinations(range(len(sets)), 2))
+    dx = [hausdorff(sets[i], sets[j], X) for i, j in pairs]
+    dy = [hausdorff(images[i], images[j], Y) for i, j in pairs]
+
+    def witness(a, b):
+        return tuple(sets[s] for s in pairs[a] + pairs[b])
+
+    if eta.kind == "linear":
+        ratio = [y / x for x, y in zip(dx, dy)]
+        hi, lo = ratio.index(max(ratio)), ratio.index(min(ratio))
+        return ratio[hi] - eta.coefficient * ratio[lo], witness(hi, lo)
+    best, arg = -math.inf, (0, 0)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, m) in enumerate(pairs):
+            if len({i, j, k, m}) < 4:
+                continue
+            excess = _divide(dy[a], dy[b]) - float(eta(dx[a] / dx[b]))
+            if excess != excess:
+                return excess, witness(a, b)
+            if excess > best:
+                best, arg = excess, (a, b)
+    return best, witness(*arg)
+
+
+def _six_points(seed):
+    rng = np.random.default_rng(seed)
+    return RealLineSpace([float(x) / 1000 for x in
+                          np.sort(rng.choice(10001, size=6, replace=False))])
+
+
+def _snowflake_case(X, alpha):
+    Y = apply_transform(X, MetricTransform("power", alpha=alpha))
+    return (lambda x: x), X, Y, 3, QhModulus.power(alpha)
+
+
+def _stretch_case(eta_of, points=6):
+    # 6 points, n = 3: 41 sets, 820 set pairs, so the scan crosses tiles
+    xs = [float(x) for x in range(points)]
+    f = lambda x: x if x < 2.5 else 2.5 + 1.7 * (x - 2.5)
+    X, Y = RealLineSpace(xs), RealLineSpace([f(x) for x in xs])
+    return f, X, Y, 3, eta_of(f, X, Y)
+
+
+def _collapse_case(eta):
+    # n = 1 and f sends 0, 1 to 0 and 3, 4 to 3: the images of {0}, {1}
+    # coincide, so some downstream ratios are x/0 = inf and 0/0 = NaN
+    X = RealLineSpace([0.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+    f = {0.0: 0.0, 1.0: 0.0, 2.0: 2.0, 3.0: 3.0, 4.0: 3.0, 6.0: 6.0}.get
+    return f, X, RealLineSpace([0.0, 2.0, 3.0, 6.0]), 1, eta
+
+
+QH_CASES = {
+    "linear": lambda: _stretch_case(lambda f, X, Y: QhModulus.linear(2.0)),
+    # 5 points: the table's lookups make the reference slow
+    "table": lambda: _stretch_case(lambda f, X, Y: estimate_qh_modulus(f, X, Y), points=5),
+    # numpy's SIMD array power differs from pow in the last bit on some
+    # cells here (AVX-512 builds), and would pick another witness
+    "power-0.37": lambda: _snowflake_case(_six_points(13), 0.37),
+    # equally spaced points: many quadruples tie at the largest excess
+    "power-0.5-ties": lambda: _snowflake_case(RealLineSpace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 0.5),
+    "collapse-linear": lambda: _collapse_case(QhModulus.linear(1.0)),
+    "collapse-power": lambda: _collapse_case(QhModulus.power(0.5)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(QH_CASES))
+def test_check_induced_qh_matches_pure_python_reference(case, monkeypatch):
+    f, X, Y, n, eta = QH_CASES[case]()
+    worst, witness = brute_check_induced_qh(f, X, Y, n, eta)
+    for tile in (transforms._BLOCK, 8):
+        # small tiles put tile edges and ties across tiles near any witness
+        monkeypatch.setattr(transforms, "_BLOCK", tile)
+        rep = check_induced_qh(f, X, Y, n, eta)
+        assert repr(rep.worst_excess) == repr(worst)
+        assert rep.witness == witness
+        assert rep.ok == (worst <= 1e-9)
