@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .metric import (
     DEFAULT_ENUMERATION_CAP,
@@ -593,6 +592,9 @@ def quasiconvexity_constant(space, eps):
     distance.  A disconnected graph yields an infinite constant and the
     closest disconnected pair as witness.
     """
+    # imported here: scipy.sparse would be two thirds of `import finset`
+    from scipy.sparse.csgraph import shortest_path
+
     space = as_finite_space(space)
     N = len(space.points)
     if N == 0:

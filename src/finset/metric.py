@@ -15,6 +15,7 @@ import itertools
 import math
 import numbers
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -275,15 +276,68 @@ def _distance_fn(space):
     return space.d
 
 
+def _on_line(space):
+    return space is None or isinstance(space, RealLineSpace)
+
+
+def _sorted_points(A):
+    return A.elements if isinstance(A, FSet) else sorted(A)
+
+
+def _directed_line(xs, ys):
+    """Largest distance from a point of xs to its nearest point of ys, with
+    both sorted ascending: one merge pass, as the nearest point of ys is the
+    predecessor or the successor of x."""
+    last = len(ys) - 1
+    j = 0
+    worst = None
+    for x in xs:
+        while j <= last and ys[j] <= x:
+            j += 1
+        if j == 0:
+            d = ys[0] - x
+        elif j > last:
+            d = x - ys[last]
+        else:
+            lo, hi = x - ys[j - 1], ys[j] - x
+            d = hi if hi < lo else lo
+        if worst is None or d > worst:
+            worst = d
+    return worst
+
+
 def hausdorff(A, B, space=None):
     """Hausdorff distance between two nonempty finite subsets.
 
-    With ``space=None`` the points are treated as numbers on the real line.
+    With ``space=None`` or a RealLineSpace the points are numbers on the
+    real line.  Each directed distance is then one merge pass over sorted
+    elements (an FSet is already sorted; other iterables are sorted first),
+    where other spaces scan all pairs.  The result is the scan's bit for
+    bit: correctly rounded subtraction is monotone, so the nearest point of
+    B to x is its predecessor or its successor in B, and the pass takes the
+    same least float.  A tie keeps the predecessor, the scan's first minimum
+    in ascending order, and the maximum keeps the first, as ``max`` does,
+    so the type is the scan's too when all elements share one.  When every
+    element of both sets is a Fraction the pass runs on Python ints: each
+    element is scaled to its numerator over the least common multiple of
+    all denominators, and the result is ``Fraction(h, lcm)``.
     """
+    if _on_line(space):
+        xs, ys = _sorted_points(A), _sorted_points(B)
+        if not xs or not ys:
+            raise ValueError("Hausdorff distance needs nonempty sets")
+        den = None
+        if all(type(p) is Fraction for p in xs) and all(type(p) is Fraction for p in ys):
+            den = math.lcm(*[p.denominator for p in xs], *[p.denominator for p in ys])
+            xs = [p.numerator * (den // p.denominator) for p in xs]
+            ys = [p.numerator * (den // p.denominator) for p in ys]
+        forward, backward = _directed_line(xs, ys), _directed_line(ys, xs)
+        h = backward if backward > forward else forward
+        return h if den is None else Fraction(h, den)
     a_pts, b_pts = tuple(A), tuple(B)
     if not a_pts or not b_pts:
         raise ValueError("Hausdorff distance needs nonempty sets")
-    d = _distance_fn(space)
+    d = space.d
     forward = max(min(d(a, b) for b in b_pts) for a in a_pts)
     backward = max(min(d(a, b) for a in a_pts) for b in b_pts)
     return max(forward, backward)
@@ -294,14 +348,19 @@ def min_separation(A, n, space=None):
 
     This is the quantity controlling how far a set sits from the space of
     sets with fewer points; it changes by at most twice the Hausdorff
-    distance between sets.
+    distance between sets.  On the line it is the least gap between
+    consecutive sorted elements, the same value as the least over all pairs
+    by the monotonicity argument of ``hausdorff``.
     """
     pts = tuple(A)
     if len(pts) > n:
         raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
     if len(pts) < n or n == 1:
         return 0.0
-    d = _distance_fn(space)
+    if _on_line(space):
+        s = sorted(pts)
+        return min(b - a for a, b in zip(s, s[1:]))
+    d = space.d
     return min(d(a, b) for a, b in itertools.combinations(pts, 2))
 
 

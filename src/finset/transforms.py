@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +202,7 @@ class QhModulus:
         if self.kind == "power":
             return t ** self.exponent
         ts, etas = self.table
-        i = int(np.searchsorted(ts, t, side="right"))
+        i = bisect_right(ts, t)
         return 0.0 if i == 0 else etas[i - 1]
 
 

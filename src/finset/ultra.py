@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .metric import (FSet, FiniteMetricSpace, _resolve_tol, _ordered_points,
                      as_finite_space)
@@ -30,10 +28,12 @@ class UltraCheckReport:
 
 
 def validate_ultrametric(space, tol=None):
-    """Exhaustively check d(x, y) <= max(d(x, z), d(z, y)) on all triples.
+    """Check d(x, y) <= max(d(x, z), d(z, y)) on all triples.
 
     Reports the worst signed slack; the space passes when the slack is within
-    tolerance.
+    tolerance.  An exact ultrametric is accepted by comparing the matrix with
+    its single-linkage cophenetic matrix; any other matrix gets the
+    exhaustive O(n^3) scan, which names the worst triple.
     """
     tol = _resolve_tol(tol)
     space = as_finite_space(space, validate=False)
@@ -41,6 +41,12 @@ def validate_ultrametric(space, tol=None):
     n = len(space.points)
     if n < 3:
         return UltraCheckReport(True, 0.0, None)
+    # a matrix is ultrametric exactly when it is its own single-linkage
+    # cophenetic matrix, which takes only max and min of its entries; then
+    # the worst slack is the 0 of the first triple (p0, p0, p0)
+    if ((D >= 0) & (D < math.inf)).all() and np.array_equal(D, _cophenetic(D)):
+        p0 = space.points[0]
+        return UltraCheckReport(0.0 <= tol, 0.0, (p0, p0, p0))
     worst = -math.inf
     arg = None
     for z in range(n):
@@ -235,19 +241,25 @@ def snowflake_retract(space, A, n, m, target_l, plan=None, tol=None):
     return generic_retract(plan.family, A, n, m)
 
 
-def subdominant_ultrametric(space, validate=True):
-    """Largest ultrametric below the metric: the minimax chain distance,
-    which is the cophenetic distance of single linkage (Gower & Ross 1969)."""
+def _cophenetic(D):
+    """Single-linkage cophenetic matrix of the upper triangle of D: the
+    minimax chain distance (Gower & Ross 1969)."""
     # imported here: scipy.cluster would add about 0.2 s to `import finset`
     from scipy.cluster.hierarchy import cophenet, linkage
 
-    space = as_finite_space(space, validate=False)
-    n = len(space.points)
+    n = len(D)
     rho = np.zeros((n, n))
     if n > 1:
         i, j = np.triu_indices(n, 1)
-        rho[i, j] = rho[j, i] = cophenet(linkage(space.dist[i, j], "single"))
-    return FiniteMetricSpace(space.points, rho, validate=validate)
+        rho[i, j] = rho[j, i] = cophenet(linkage(D[i, j], "single"))
+    return rho
+
+
+def subdominant_ultrametric(space, validate=True):
+    """Largest ultrametric below the metric: the minimax chain distance,
+    which is the cophenetic distance of single linkage."""
+    space = as_finite_space(space, validate=False)
+    return FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=validate)
 
 
 @dataclass(frozen=True)
@@ -267,6 +279,10 @@ def disconnection_constant(space, validate=True):
     the returned chain walks from one witness point to the other with every
     step at most ``constant * d(witness)``.
     """
+    # imported here: scipy.sparse would be two thirds of `import finset`
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     space = as_finite_space(space, validate=False)
     n = len(space.points)
     if n < 2:

@@ -36,6 +36,17 @@ def brute_hausdorff(A, B, d=None):
 
 
 small_sets = st.sets(st.integers(min_value=-50, max_value=50), min_size=1, max_size=5)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+big_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20))
+# small multiples of 1/4 in three types: every difference is exact, so the
+# pair scan's first minimum and first maximum fix the type of the result
+exact_mixed = st.one_of(st.integers(-20, 20),
+                        st.integers(-40, 40).map(lambda k: k / 2),
+                        st.integers(-80, 80).map(lambda k: Fraction(k, 4)))
+
+
+def assert_same(got, want):
+    assert got == want and type(got) is type(want), (got, want)
 
 
 class TestFSet:
@@ -79,7 +90,7 @@ class TestHausdorff:
     @settings(max_examples=150)
     @given(small_sets, small_sets)
     def test_matches_bruteforce(self, a, b):
-        assert hausdorff(FSet(a), FSet(b)) == brute_hausdorff(a, b)
+        assert_same(hausdorff(FSet(a), FSet(b)), brute_hausdorff(a, b))
 
     @settings(max_examples=150)
     @given(small_sets, small_sets, small_sets)
@@ -88,6 +99,68 @@ class TestHausdorff:
         assert hausdorff(A, B) == hausdorff(B, A)
         assert (hausdorff(A, B) == 0) == (A == B)
         assert hausdorff(A, C) <= hausdorff(A, B) + hausdorff(B, C)
+
+    @settings(max_examples=300)
+    @given(st.lists(finite_floats, min_size=1, max_size=7),
+           st.lists(finite_floats, min_size=1, max_size=7))
+    def test_line_path_matches_pair_scan_on_floats(self, a, b):
+        assert_same(hausdorff(FSet(a), FSet(b)), brute_hausdorff(FSet(a), FSet(b)))
+
+    @settings(max_examples=300)
+    @given(st.lists(big_fractions, min_size=1, max_size=6),
+           st.lists(big_fractions, min_size=1, max_size=6))
+    def test_line_path_matches_pair_scan_on_fractions(self, a, b):
+        assert_same(hausdorff(FSet(a), FSet(b)), brute_hausdorff(a, b))
+
+    @settings(max_examples=300)
+    @given(st.lists(exact_mixed, min_size=1, max_size=6),
+           st.lists(exact_mixed, min_size=1, max_size=6))
+    def test_line_path_keeps_the_pair_scan_type_on_mixed_sets(self, a, b):
+        # ints, floats and Fractions side by side; only all-Fraction sets
+        # may take the integer path
+        assert_same(hausdorff(FSet(a), FSet(b)), brute_hausdorff(FSet(a), FSet(b)))
+
+    def test_ties_keep_the_predecessor_and_the_first_maximum(self):
+        # 1 is as far from the int 0 as from the float 2.0: the scan takes
+        # the first, and so the int distance
+        assert_same(hausdorff(FSet((1,)), FSet((0, 2.0))), 1)
+        assert_same(hausdorff(FSet((0, 4.0)), FSet((2,))), 2)
+        assert_same(hausdorff(FSet((1, 3)), FSet((Fraction(0), 2))), Fraction(1))
+        # both directions reach 2, forward as an int: max keeps the first
+        assert_same(hausdorff(FSet((0.0, 4)), FSet((1.5, 2))), 2)
+
+    def test_rounding_ties_at_large_magnitude(self):
+        # 1e16 - 0.5 rounds to 1e16, so both candidates tie
+        for a, b in (((1e16,), (0.0, 0.5)), ((0.0, 0.5), (1e16,)),
+                     ((1e16, 1e16 + 2), (0.0, 0.5, 2e16)), ((-1e16,), (0.0, 0.5, 1e300))):
+            assert_same(hausdorff(FSet(a), FSet(b)), brute_hausdorff(a, b))
+
+    def test_unsorted_iterables_with_duplicates(self):
+        cases = [([3.0, 1.0, 3.0, -2.0], (0.5, 0.5, 7.0)),
+                 ([5, 5, 1], [2, 9, 2]),
+                 ((Fraction(2, 7), Fraction(1, 3), Fraction(2, 7)), [Fraction(5, 11)])]
+        for a, b in cases:
+            assert_same(hausdorff(a, b), brute_hausdorff(a, b))
+            assert_same(hausdorff(iter(a), iter(b)), brute_hausdorff(a, b))
+
+    def test_whole_witness_chain(self):
+        from finset import lipschitz_obstruction_witness
+        chain = lipschitz_obstruction_witness(6).chain
+        assert len(chain) == 3250
+        for a, b in zip(chain, chain[1:]):
+            assert_same(hausdorff(a, b), brute_hausdorff(a, b))
+
+    def test_line_space_matches_none(self):
+        sp = RealLineSpace([0.0, 1.0])
+        for a, b in (((0.25, 3.0), (1.0,)), ((1, 4), (2,)),
+                     ((Fraction(1, 3),), (Fraction(1, 2), Fraction(5, 2)))):
+            assert_same(hausdorff(FSet(a), FSet(b), sp), hausdorff(FSet(a), FSet(b)))
+
+    def test_empty_input_raises(self):
+        for space in (None, RealLineSpace([0.0])):
+            for a, b in (([], [1.0]), ([1.0], ())):
+                with pytest.raises(ValueError, match="nonempty"):
+                    hausdorff(a, b, space)
 
     def test_uses_space_metric(self):
         sp = FiniteMetricSpace(("a", "b", "c"),
@@ -109,6 +182,23 @@ class TestMinSeparation:
     def test_exact_arithmetic(self):
         sep = min_separation(FSet((Fraction(0), Fraction(1, 3), Fraction(1, 2))), 3)
         assert sep == Fraction(1, 6) and isinstance(sep, Fraction)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(finite_floats, min_size=2, max_size=6),
+                     st.lists(big_fractions, min_size=2, max_size=6),
+                     st.lists(exact_mixed, min_size=2, max_size=6)))
+    def test_line_gaps_match_pair_scan(self, pts):
+        # as given, duplicates and order included
+        want = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
+        for space in (None, RealLineSpace()):
+            got = min_separation(pts, len(pts), space)
+            assert got == want
+            if len({type(p) for p in pts}) == 1:
+                assert type(got) is type(want)
+
+    def test_counts_the_input_as_given(self):
+        with pytest.raises(ValueError, match="3 points"):
+            min_separation([1.0, 1.0, 2.0], 2)
 
     @settings(max_examples=150)
     @given(small_sets, small_sets)

@@ -179,6 +179,17 @@ class TestQhModulus:
         assert eta(3.0) == 3.0
         assert eta(100.0) == 5.0
 
+    def test_table_lookup_matches_searchsorted(self):
+        # distinct values name the knot each lookup lands on
+        X = RealLineSpace([0.0, 1.0, 2.5, 4.0, 7.0, 7.5])
+        ts = estimate_qh_modulus(lambda x: x, X, X).table[0]
+        eta = QhModulus("table", table=(ts, tuple(float(v) for v in range(1, len(ts) + 1))))
+        mids = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+        probes = [*ts, *mids, ts[0] / 2, -1.0, ts[-1] * 2, math.inf, -math.inf, math.nan]
+        for t in probes:
+            i = int(np.searchsorted(np.array(ts), t, side="right"))
+            assert eta(t) == (0.0 if i == 0 else eta.table[1][i - 1]), t
+
 
 def brute_modulus_pairs(f, X, Y):
     # reference quadruple scan: (upstream ratio, downstream ratio) records

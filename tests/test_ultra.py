@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def brute_minimax(D, i, j):
             path = (i,) + mid + (j,)
             best = min(best, max(D[a, b] for a, b in zip(path, path[1:])))
     return best
+
+
+def brute_validate(space):
+    # reference strong-triangle check: every triple, worst slack first found
+    D, pts = space.dist, space.points
+    worst, arg = -np.inf, None
+    for z in range(len(pts)):
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                slack = float(D[i, j] - max(D[i, z], D[z, j]))
+                if slack > worst:
+                    worst, arg = slack, (pts[i], pts[j], pts[z])
+    return (worst <= 1e-9, worst, arg)
 
 
 def lattice_cloud():
@@ -83,11 +97,12 @@ def plain_bfs_chain(space, a, b, bottleneck):
 
 
 def test_import_leaves_scipy_cluster_and_spatial_unloaded():
-    # both are imported lazily; loading them would slow every `import finset`
+    # scipy.cluster, scipy.spatial and scipy.sparse are imported lazily;
+    # loading them would slow every `import finset`
     import finset
     src = os.path.dirname(os.path.dirname(os.path.abspath(finset.__file__)))
     code = ("import sys, finset; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.cluster', 'scipy.spatial'))))")
+            "if m.startswith(('scipy.cluster', 'scipy.spatial', 'scipy.sparse'))))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -110,6 +125,28 @@ class TestValidate:
 
     def test_two_points_trivially_pass(self):
         assert validate_ultrametric(RealLineSpace([0.0, 5.0])).is_ultrametric
+
+    def test_reports_match_the_triple_scan(self):
+        # ultrametrics take the cophenetic fast accept, the rest the scan
+        ultra = [dendrogram_space(random_dendrogram(9, seed=seed)) for seed in range(4)]
+        ultra += [subdominant_ultrametric(sp) for sp in random_clouds(3, 15)]
+        ultra.append(subdominant_ultrametric(lattice_cloud()))
+        for sp in ultra:
+            report = astuple(validate_ultrametric(sp))
+            assert report == brute_validate(sp) == (True, 0.0, (sp.points[0],) * 3)
+        others = random_clouds(3, 15) + [lattice_cloud()]
+        for sp in ultra[:4]:
+            # one distance raised a hair above an ultrametric: a pass within
+            # tolerance with a positive slack, then a clear failure
+            for bump in (1e-12, 0.1):
+                D = sp.dist.copy()
+                D[0, 1] = D[1, 0] = D[0, 1] + bump
+                others.append(FiniteMetricSpace(sp.points, D, validate=False))
+        for sp in others:
+            report = astuple(validate_ultrametric(sp))
+            assert report == brute_validate(sp)
+            assert report[1] > 0
+        assert [validate_ultrametric(sp).is_ultrametric for sp in others[-8:]] == [True, False] * 4
 
 
 class TestCenterFamily:
