@@ -61,7 +61,6 @@ from .transforms import (
     check_induced_qh,
     conjugated_map,
     disjoint_union,
-    doubling_ratio,
     estimate_qh_modulus,
     induced_subset_map,
     product_space,

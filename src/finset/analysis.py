@@ -91,10 +91,18 @@ class _PackedFamily:
 
     ``idx`` is (num_sets, k) with each row the universe indices of one set,
     padded by repeating the first index (padding never changes Hausdorff
-    distances).  ``dmin_t`` is (universe, num_sets), C-contiguous, with the
-    distance from each universe point to each set.  The directed Hausdorff
-    distances from one block of sets to another are then k contiguous row
-    gathers of ``dmin_t`` folded together by an in-place max.
+    distances).  Two minima tables, both (universe, num_sets) and
+    C-contiguous, hold the distance between each universe point u and each
+    set s, one per orientation of d:
+
+    - ``fwd[u, s]`` is the min over b in s of d(u, b);
+    - ``bwd[u, s]`` is the min over a in s of d(a, u).
+
+    They are the same array when d is symmetric: for line positions, or for
+    a matrix equal to its transpose.  A directed distance from one block of
+    sets to another is then k contiguous row gathers of one table folded
+    together by an in-place max; ``_hausdorff_block`` says which table each
+    direction reads.
     """
 
     def __init__(self, sets, key, lookup, dist_univ):
@@ -105,55 +113,61 @@ class _PackedFamily:
             idx[row, :len(cols)] = cols
             idx[row, len(cols):] = cols[0]
         self.idx = idx
+        symmetric = dist_univ.ndim == 1 or np.array_equal(dist_univ, dist_univ.T)
+        self.bwd = self._minima(dist_univ)
+        self.fwd = self.bwd if symmetric else self._minima(dist_univ.T)
+
+    def _minima(self, dist_univ):
         # dist_univ is either a square distance matrix or a 1-D array of
         # line positions; both yield (rows, universe) minima chunkwise
-        self.dmin_t = np.empty((dist_univ.shape[0], len(sets)))
-        chunk = max(1, int(2e7) // max(1, k * dist_univ.shape[0]))
-        for r in range(0, len(sets), chunk):
+        idx = self.idx
+        out = np.empty((dist_univ.shape[0], len(idx)))
+        chunk = max(1, int(2e7) // max(1, idx.shape[1] * dist_univ.shape[0]))
+        for r in range(0, len(idx), chunk):
             rows = idx[r:r + chunk]
             if dist_univ.ndim == 1:
                 gap = np.abs(dist_univ[rows][:, :, None] - dist_univ[None, None, :])
                 part = gap.min(axis=1)
             else:
                 part = dist_univ[rows].min(axis=1)
-            self.dmin_t[:, r:r + chunk] = part.T
+            out[:, r:r + chunk] = part.T
+        return out
 
 
-def _directed_block(fam, rows, c0):
-    """Directed Hausdorff distances from each set of ``rows`` to the block
-    of sets starting at c0: the max over each row's points of their minima."""
-    out = fam.dmin_t[rows[:, 0], c0:c0 + _BLOCK]
+def _directed_block(table, rows, c0):
+    """Directed distances from each set of ``rows`` to the block of sets
+    starting at c0: the max over each row's points of their minima."""
+    out = table[rows[:, 0], c0:c0 + _BLOCK]
     for c in range(1, rows.shape[1]):
-        np.maximum(out, fam.dmin_t[rows[:, c], c0:c0 + _BLOCK], out=out)
+        np.maximum(out, table[rows[:, c], c0:c0 + _BLOCK], out=out)
     return out
 
 
 def _hausdorff_block(fam, i0, j0):
-    """Pairwise Hausdorff distances between two row blocks of a family."""
-    forward = _directed_block(fam, fam.idx[i0:i0 + _BLOCK], j0)
-    backward = _directed_block(fam, fam.idx[j0:j0 + _BLOCK], i0)
+    """Hausdorff distances between the sets of the row blocks at i0 and j0.
+
+    Entry (i, j) is the float ``hausdorff(sets[i0 + i], sets[j0 + j],
+    space)`` gives.  That reads d(a, b) with a in the first set in both
+    directions, so the forward direction, from the i0 block to the j0
+    block, reads ``fwd`` and the backward one reads ``bwd``.  On a matrix
+    that is symmetric only within tolerance the two can differ in the last
+    bit.
+    """
+    forward = _directed_block(fam.fwd, fam.idx[i0:i0 + _BLOCK], j0)
+    backward = _directed_block(fam.bwd, fam.idx[j0:j0 + _BLOCK], i0)
     return np.maximum(forward, backward.T, out=forward)
 
 
 def _pair_distances(sets, space):
     """Hausdorff distances of all pairs i < j of ``sets``, in
-    ``np.triu_indices(len(sets), 1)`` order.
-
-    They are the same floats as ``hausdorff(sets[i], sets[j], space)``,
-    which reads d(a, b) with a in sets[i] in both directions.  A distance
-    matrix may be symmetric only within tolerance, so the forward direction
-    gathers its minima from the transposed matrix.
-    """
-    key, lookup, dist_univ = _universe(sets, (), space)
-    fwd = _PackedFamily(sets, key, lookup, dist_univ.T)
-    bwd = _PackedFamily(sets, key, lookup, dist_univ)
+    ``np.triu_indices(len(sets), 1)`` order, as ``_hausdorff_block`` gives
+    them."""
+    fam = _PackedFamily(sets, *_universe(sets, (), space))
     N = len(sets)
     H = np.zeros((N, N))
     for i0 in range(0, N, _BLOCK):
         for j0 in range(i0, N, _BLOCK):
-            H[i0:i0 + _BLOCK, j0:j0 + _BLOCK] = np.maximum(
-                _directed_block(fwd, fwd.idx[i0:i0 + _BLOCK], j0),
-                _directed_block(bwd, bwd.idx[j0:j0 + _BLOCK], i0).T)
+            H[i0:i0 + _BLOCK, j0:j0 + _BLOCK] = _hausdorff_block(fam, i0, j0)
     return H[np.triu_indices(N, 1)]
 
 

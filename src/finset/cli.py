@@ -5,11 +5,14 @@ commands, JSON/CSV reports, reproducible seeded runs.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import analysis, generators, line, transforms, ultra
 from .metric import (
@@ -23,16 +26,8 @@ from .metric import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings of one run; identical configs give identical reports.
-
-    ``seed`` and ``cap`` come from ``estimate-lip``; other commands keep the
-    defaults."""
-
-    seed: int = 0
-    cap: int = DEFAULT_ENUMERATION_CAP
-    out: str | None = None
+# grid points per interval when an interval union is searched as a domain
+_PER_INTERVAL = 4
 
 
 def _load_spec(text):
@@ -87,57 +82,18 @@ def _emit_json(report, out):
     _write_text(text, out)
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
 def _emit_csv(header, rows, out):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append('"%s"' % v.replace('"', '""'))
-            elif isinstance(v, int):
-                cells.append(str(v))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    for row, parsed in zip(rows, text.splitlines()[1:]):
-        back = next_csv_row(parsed)
-        for v, b in zip(row, back):
-            if not isinstance(v, str) and float(b.strip('"')) != float(v):
-                raise RuntimeError("CSV report failed its round-trip")
+    """Write rows as CSV, floats as ``%.17g`` so that they read back exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, (str, int)) else "%.17g" % float(v) for v in row]
+                     for row in rows)
+    text = buf.getvalue()
+    for row, back in zip(rows, list(csv.reader(io.StringIO(text)))[1:]):
+        if any(not isinstance(v, str) and float(b) != float(v) for v, b in zip(row, back)):
+            raise RuntimeError("CSV report failed its round-trip")
     _write_text(text, out)
-
-
-def next_csv_row(line_text):
-    """Split one CSV line produced by _emit_csv, unquoting string cells."""
-    out = []
-    field = []
-    quoted = False
-    i = 0
-    while i < len(line_text):
-        c = line_text[i]
-        if quoted:
-            if c == '"' and i + 1 < len(line_text) and line_text[i + 1] == '"':
-                field.append('"')
-                i += 1
-            elif c == '"':
-                quoted = False
-            else:
-                field.append(c)
-        elif c == '"':
-            quoted = True
-        elif c == ",":
-            out.append("".join(field))
-            field = []
-        else:
-            field.append(c)
-        i += 1
-    out.append("".join(field))
-    return out
 
 
 def _space_summary(space):
@@ -172,17 +128,17 @@ def _retraction(name, space, n, m, target_l):
     raise ValueError("unknown retraction %r" % (name,))
 
 
-def _domain_space(space, per_interval=4):
+def _domain_space(space):
     if isinstance(space, line.IntervalUnion):
-        return RealLineSpace(space.discretize(per_interval))
+        return RealLineSpace(space.discretize(_PER_INTERVAL))
     return space
 
 
-def _cmd_validate(args, config):
+def _cmd_validate(args):
     space = _load_space(args.space)
     if isinstance(space, line.IntervalUnion):
         report = {"space": _space_summary(space), "valid": True}
-        _emit_json(report, config.out)
+        _emit_json(report, args.out)
         return 0
     # line spaces are valid by construction; explicit matrices get rechecked
     if isinstance(space, FiniteMetricSpace):
@@ -195,19 +151,19 @@ def _cmd_validate(args, config):
         "ultrametric_slack": check.violation,
         "min_positive_distance": space.min_positive_distance(),
     }
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_hausdorff(args, config):
+def _cmd_hausdorff(args):
     space = _load_space(args.space) if args.space else None
     A, B = _parse_set(args.a), _parse_set(args.b)
     report = {"a": A, "b": B, "distance": hausdorff(A, B, space)}
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_retract(args, config):
+def _cmd_retract(args):
     space = _load_space(args.space) if args.space else None
     A = _parse_set(args.set)
     n = args.n
@@ -224,27 +180,27 @@ def _cmd_retract(args, config):
         "displacement": hausdorff(A, out, dom),
         "min_separation": min_separation(A, n, dom),
     }
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_estimate_lip(args, config):
+def _cmd_estimate_lip(args):
     space = _load_space(args.space)
     n = args.n
     m = args.m if args.m is not None else n - 1
     f = _retraction(args.map, space, n, m, args.target_l)
     dom_space = _domain_space(space)
-    domain = analysis.SubsetDomain.build(dom_space, n, cap=config.cap)
+    domain = analysis.SubsetDomain.build(dom_space, n, cap=args.cap)
     report = analysis.estimate_constant(
         f, domain, hoelder_exponent=args.exponent,
-        seed=config.seed, pair_budget=args.budget)
+        seed=args.seed, pair_budget=args.budget)
     row = [report.kind, report.constant, report.exponent,
            json.dumps(_jsonable(report.witness[0])),
            json.dumps(_jsonable(report.witness[1])),
            report.pairs_examined, report.mode]
-    if config.out and config.out.endswith(".csv"):
+    if args.out and args.out.endswith(".csv"):
         _emit_csv(["kind", "constant", "exponent", "witness_a", "witness_b",
-                   "pairs_examined", "mode"], [row], config.out)
+                   "pairs_examined", "mode"], [row], args.out)
     else:
         _emit_json({
             "kind": report.kind, "constant": report.constant,
@@ -252,11 +208,11 @@ def _cmd_estimate_lip(args, config):
             "witness": [report.witness[0], report.witness[1]],
             "pairs_examined": report.pairs_examined, "mode": report.mode,
             "stop_reason": report.stop_reason,
-        }, config.out)
+        }, args.out)
     return 0
 
 
-def _cmd_witness(args, config):
+def _cmd_witness(args):
     w = analysis.lipschitz_obstruction_witness(Fraction(args.L))
     analysis.validate_obstruction_witness(w)
     report = {
@@ -269,11 +225,11 @@ def _cmd_witness(args, config):
     }
     if args.full_chain:
         report["chain"] = [list(S) for S in w.chain]
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_quasiconvexity(args, config):
+def _cmd_quasiconvexity(args):
     space = _load_space(args.space)
     report = analysis.quasiconvexity_constant(space, args.eps)
     _emit_json({
@@ -281,36 +237,28 @@ def _cmd_quasiconvexity(args, config):
         "connected": report.connected,
         "eps": report.eps,
         "witness": list(report.witness) if report.witness else None,
-    }, config.out)
+    }, args.out)
     return 0
 
 
-def _cmd_transform(args, config):
+def _cmd_transform(args):
     space = as_finite_space(_load_space(args.space), validate=False)
     T = transforms.MetricTransform.from_json(_load_spec(args.transform))
     out_space = transforms.apply_transform(space, T)
-    dists = [out_space.dist[i, j]
-             for i in range(len(out_space.points))
-             for j in range(i + 1, len(out_space.points))]
-    base = _as_positive([space.dist[i, j]
-                         for i in range(len(space.points))
-                         for j in range(i + 1, len(space.points))])
+    upper = np.triu_indices(len(space.points), 1)
+    base = space.dist[upper]
     report = {
         "transform": T.to_json(),
         "space": _space_summary(out_space),
-        "doubling_ratio": transforms.doubling_ratio(T, base),
+        "doubling_ratio": transforms.transport_constant(T, 2, base),
         "transport_constant": transforms.transport_constant(T, args.L, base),
-        "distances": sorted(set(round(float(d), 12) for d in dists)),
+        "distances": sorted(set(round(float(d), 12) for d in out_space.dist[upper])),
     }
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _as_positive(values):
-    return [v for v in values if v > 0]
-
-
-def _cmd_ultra_build(args, config):
+def _cmd_ultra_build(args):
     space = as_finite_space(_load_space(args.space))
     check = ultra.validate_ultrametric(space)
     report = {"is_ultrametric": check.is_ultrametric}
@@ -328,7 +276,7 @@ def _cmd_ultra_build(args, config):
     report["centers_per_level"] = [
         len(set(family.maps[k].values())) for k in family.levels]
     report["generic_bound"] = ultra.generic_retract_bound()
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
@@ -407,11 +355,8 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(seed=getattr(args, "seed", 0),
-                       cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
-                       out=getattr(args, "out", None))
     try:
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")

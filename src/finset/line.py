@@ -8,11 +8,23 @@ conjugation, and delete minima on the harmonic set {0} u {1/k}.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .metric import FSet, RealLineSpace, _resolve_tol, min_separation
+
+
+def _sorted_points(A, n):
+    """The points of A in ascending order; more than n points raise."""
+    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
+    if len(pts) > n:
+        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    return pts
+
+
+def _as_fset(A, pts):
+    """A itself when it is an FSet, else the FSet of its sorted points."""
+    return A if isinstance(A, FSet) else FSet(pts)
 
 
 def rank_below(A, x):
@@ -33,12 +45,10 @@ def line_retract(A, n, tol=None):
     never moves, the maximum never increases, and exact (integer or rational)
     inputs give exact outputs, so additive subgroups are preserved.
     """
-    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _sorted_points(A, n)
     delta = min_separation(pts, n)
     if delta == 0:
-        return A if isinstance(A, FSet) else FSet(pts)
+        return _as_fset(A, pts)
     moved = [x - delta * i for i, x in enumerate(pts)]
     out = FSet(moved, tol=_resolve_tol(tol))
     if len(out) > n - 1:
@@ -55,12 +65,10 @@ def median_retract(A, n, tol=None):
     failure raises.  The signed rank is half-integral when |A| is even, so
     integer lattices are not preserved (unlike line_retract).
     """
-    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _sorted_points(A, n)
     delta = min_separation(pts, n)
     if delta == 0:
-        return A if isinstance(A, FSet) else FSet(pts)
+        return _as_fset(A, pts)
     moved = [x + delta * signed_rank(pts, x) for x in pts]
     out = FSet(moved, tol=_resolve_tol(tol))
     if len(out) > n - 1:
@@ -229,15 +237,13 @@ def interval_union_retract(X, A, n, tol=None, expansion=None):
     it per call.
     """
     tol = _resolve_tol(tol)
-    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _sorted_points(A, n)
     homes = [X.locate(a, tol) for a in pts]
     if None in homes:
         raise ValueError("point %r lies outside the union"
                          % (pts[homes.index(None)],))
     if len(pts) < n:
-        return A if isinstance(A, FSet) else FSet(pts)
+        return _as_fset(A, pts)
     if len(set(homes)) == n:
         return FSet(pts[1:])
     exp = expansion if expansion is not None else build_gap_expansion(X, n)
@@ -293,9 +299,7 @@ def delete_min_retract(A, n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _sorted_points(A, n)
     if len(pts) == n:
         return FSet(pts[1:])
-    return A if isinstance(A, FSet) else FSet(pts)
+    return _as_fset(A, pts)

@@ -364,7 +364,7 @@ def min_separation(A, n, space=None):
     return min(d(a, b) for a, b in itertools.combinations(pts, 2))
 
 
-def dist_to_lower(A, space, n, mode="within", cap=None, tol=None):
+def dist_to_lower(A, space, n, mode="within", cap=None):
     """Distance from A to the nearest subset with at most ``n - 1`` points.
 
     mode="within" draws candidate sets from the space's listed points.

@@ -30,14 +30,12 @@ class MetricTransform:
 
     Two forms: ``power`` applies t^alpha, ``table`` interpolates a piecewise
     linear function through given knots (extended linearly past the last
-    knot).  ``doubling`` optionally records a claimed constant M with
-    φ(2t) ≤ M φ(t); see doubling_ratio for the empirical check.
+    knot).
     """
 
     kind: str
     alpha: float = 1.0
     table: tuple = ()
-    doubling: float | None = None
 
     def __post_init__(self):
         if self.kind == "power":
@@ -95,23 +93,12 @@ def apply_transform(space, transform, tol=None):
     return FiniteMetricSpace(space.points, transform(space.dist), tol=tol)
 
 
-def doubling_ratio(transform, grid):
-    """Largest φ(2t)/φ(t) over the positive grid values."""
-    worst = 0.0
-    for t in grid:
-        t = float(t)
-        if t <= 0:
-            continue
-        base = transform(t)
-        worst = math.inf if base == 0 else max(worst, transform(2 * t) / base)
-    return worst
-
-
 def transport_constant(transform, L, distances):
     """Least L' with φ(L t) ≤ L' φ(t) over the observed distances.
 
     A retraction with constant L on the original space has constant at most
-    L' after the transform.
+    L' after the transform.  At L = 2 this is the doubling ratio, the
+    largest φ(2t)/φ(t).  Distances of 0 are skipped.
     """
     worst = 0.0
     for t in distances:

@@ -159,18 +159,42 @@ class TestExhaustiveKernel:
         assert_kernel_matches_brute(lambda A: FSet(shift[p] for p in A), sets, beta, sp)
 
 
-def test_pair_distances_keep_the_orientation_of_hausdorff():
+def skewed_lattice():
     # a matrix symmetric only within tolerance, as shortest paths summed in
     # two orders give: d(a, b) is one ulp larger when a comes first
     lattice = FiniteMetricSpace.from_coords([(x, y) for x in range(3) for y in range(3)])
     D = lattice.dist.copy()
     upper = np.triu_indices(len(D), 1)
     D[upper] = np.nextafter(D[upper], np.inf)
-    sp = FiniteMetricSpace(lattice.points, D)
+    return FiniteMetricSpace(lattice.points, D)
+
+
+def test_pair_distances_keep_the_orientation_of_hausdorff():
+    sp = skewed_lattice()
     sets = enumerate_fsets(sp, 3)
     assert len(sets) == 129
     got = analysis._pair_distances(sets, sp)
     assert got.tolist() == [hausdorff(A, B, sp) for A, B in itertools.combinations(sets, 2)]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("shape", ["first-two", "row-shift"])
+def test_exhaustive_search_keeps_the_orientation_of_hausdorff(shape, beta):
+    # exact reference: scalar hausdorff ratios, and the first maximum in
+    # combinations order as the witness; a one-ulp difference must show
+    sp = skewed_lattice()
+    sets = enumerate_fsets(sp, 3)
+    shift = dict(zip(sp.points, sp.points[3:] + sp.points[:3]))
+    f = {"first-two": lambda A: FSet(list(A)[:2]),
+         "row-shift": lambda A: FSet(shift[p] for p in A)}[shape]
+    best, arg = -math.inf, None
+    for A, B in itertools.combinations(sets, 2):
+        r = hausdorff(f(A), f(B), sp) / hausdorff(A, B, sp) ** beta
+        if r > best:
+            best, arg = r, (A, B)
+    rep = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
+    assert rep.constant == best
+    assert rep.witness == arg
 
 
 class TestCheckDisplacement:

@@ -1,5 +1,6 @@
 """Example space generators and the command-line front end."""
 
+import csv
 import json
 import math
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from finset import FiniteMetricSpace, IntervalUnion, RealLineSpace, cli, ultra
-from finset.cli import next_csv_row
 from finset.generators import (
     cantor_points,
     cantor_space,
@@ -194,18 +194,24 @@ class TestCli:
         assert report["stop_reason"] == "exhaustive"
 
     def test_estimate_lip_csv(self, capsys, tmp_path):
+        # each cell reads back as the JSON report of the same run has it
+        argv = ["estimate-lip", "--map", "line",
+                "--space", '{"kind": "line", "points": [0, 0.5, 2]}', "--n", "2"]
         out_file = tmp_path / "report.csv"
-        code, _, _ = run_cli(capsys, [
-            "estimate-lip", "--map", "line",
-            "--space", '{"kind": "line", "points": [0, 0.5, 2]}',
-            "--n", "2", "--out", str(out_file)])
+        code, _, _ = run_cli(capsys, argv + ["--out", str(out_file)])
         assert code == 0
-        header, row = out_file.read_text().splitlines()
-        assert header.split(",") == ["kind", "constant", "exponent", "witness_a",
-                                     "witness_b", "pairs_examined", "mode"]
-        cells = next_csv_row(row)
-        assert cells[0] == "lipschitz"
-        assert float(cells[1]) > 0
+        _, out, _ = run_cli(capsys, argv)
+        report = json.loads(out)
+        with open(out_file, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == ["kind", "constant", "exponent", "witness_a",
+                          "witness_b", "pairs_examined", "mode"]
+        assert row[0] == report["kind"] == "lipschitz"
+        assert float(row[1]) == report["constant"] > 0
+        assert float(row[2]) == report["exponent"]
+        assert [json.loads(row[3]), json.loads(row[4])] == report["witness"]
+        assert int(row[5]) == report["pairs_examined"]
+        assert row[6] == report["mode"]
 
     def test_estimate_lip_deterministic(self, capsys):
         argv = ["estimate-lip", "--map", "delete-min",

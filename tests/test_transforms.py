@@ -21,7 +21,6 @@ from finset import (
     conjugated_map,
     delete_min_retract,
     disjoint_union,
-    doubling_ratio,
     enumerate_fsets,
     estimate_constant,
     estimate_qh_modulus,
@@ -78,7 +77,7 @@ class TestMetricTransform:
 
     def test_doubling_ratio_of_power(self):
         phi = MetricTransform("power", alpha=0.5)
-        assert doubling_ratio(phi, [0.1, 1.0, 7.0]) == pytest.approx(math.sqrt(2))
+        assert transport_constant(phi, 2, [0.1, 1.0, 7.0]) == pytest.approx(math.sqrt(2))
 
     def test_transport_constant_of_power(self):
         # sqrt transform turns a 2-Lipschitz bound into sqrt(2)
