@@ -24,9 +24,9 @@ from .metric import (
     FiniteMetricSpace,
     _distance_fn,
     _ordered_points,
-    _resolve_tol,
     as_finite_space,
     enumerate_fsets,
+    get_tolerance,
     hausdorff,
     match_bijection,
     min_separation,
@@ -221,19 +221,19 @@ def _exhaustive_search(sets, images, space, beta):
 
 
 def _sampled_search(space, n, beta, seed, budget, image):
+    # a set is the sorted tuple of its indices into pts, which orders exactly
+    # as its elements do, so that a known pair is skipped before any FSet
     rng = random.Random(seed)
     pts = list(_ordered_points(space))
     N = len(pts)
-    pos = {p: i for i, p in enumerate(pts)}
     scored = {}
-    best = [-math.inf, None, None]
     top = []  # min-heap of the six largest (ratio, key) scored so far
 
-    def score(A, B):
-        ka, kb = A.elements, B.elements
-        key = (ka, kb) if ka <= kb else (kb, ka)
-        if key in scored or ka == kb:
+    def score(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key in scored or a == b:
             return
+        A, B = FSet(pts[i] for i in a), FSet(pts[i] for i in b)
         dd = hausdorff(A, B, space)
         r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / dd ** beta
         scored[key] = r
@@ -241,73 +241,68 @@ def _sampled_search(space, n, beta, seed, budget, image):
             heapq.heappush(top, (r, key))
         elif (r, key) > top[0]:
             heapq.heapreplace(top, (r, key))
-        if r > best[0] or (r == best[0] and key < (best[1].elements, best[2].elements)):
-            best[0], best[1], best[2] = r, FSet(key[0]), FSet(key[1])
 
     def random_subset():
         k = rng.randint(1, min(n, N))
-        return FSet(pts[i] for i in rng.sample(range(N), k))
+        return tuple(sorted(rng.sample(range(N), k)))
 
-    def mutate(A):
-        idx = sorted(pos[e] for e in A)
+    def mutate(a):
         roll = rng.random()
-        if roll < 0.4 and len(idx) > 1:
-            drop = rng.choice(idx)
-            return FSet(pts[i] for i in idx if i != drop)
+        if roll < 0.4 and len(a) > 1:
+            drop = rng.choice(a)
+            return tuple(i for i in a if i != drop)
         if roll < 0.75:
-            i = rng.choice(idx)
+            i = rng.choice(a)
             for _ in range(4):
                 j = min(N - 1, max(0, i + rng.choice((-3, -2, -1, 1, 2, 3))))
-                if j not in idx:
-                    return FSet(pts[j] if q == i else pts[q] for q in idx)
+                if j not in a:
+                    return tuple(sorted(j if q == i else q for q in a))
             return random_subset()
-        if len(idx) < n:
-            anchor = rng.choice(idx)
+        if len(a) < n:
+            anchor = rng.choice(a)
             lo, hi = max(0, anchor - 4), min(N, anchor + 5)
             j = rng.randrange(lo, hi) if rng.random() < 0.5 else rng.randrange(N)
-            if j not in idx:
-                return FSet([pts[j]] + [pts[q] for q in idx])
+            if j not in a:
+                return tuple(sorted(a + (j,)))
         return random_subset()
 
-    def neighbors(A, B):
-        out = []
-        for S, other, flipped in ((A, B, False), (B, A, True)):
-            idx = [pos[e] for e in S]
-            taken = set(idx)
-            for slot, i in enumerate(idx):
+    def neighbors(a, b):
+        for s, other, flipped in ((a, b, False), (b, a, True)):
+            for slot, i in enumerate(s):
                 for off in (-2, -1, 1, 2):
                     j = i + off
-                    if 0 <= j < N and j not in taken:
-                        moved = FSet(pts[j] if q == slot else pts[idx[q]]
-                                     for q in range(len(idx)))
-                        out.append((other, moved) if flipped else (moved, other))
-        for S, other, flipped in ((A, B, False), (B, A, True)):
-            if len(S) > 1:
-                for e in S:
-                    dropped = FSet(x for x in S if x != e)
-                    out.append((S, dropped) if not flipped else (dropped, S))
-        return out
+                    if 0 <= j < N and j not in s:
+                        moved = tuple(sorted(s[:slot] + (j,) + s[slot + 1:]))
+                        yield (other, moved) if flipped else (moved, other)
+        for s, flipped in ((a, False), (b, True)):
+            if len(s) > 1:
+                for i in s:
+                    dropped = tuple(q for q in s if q != i)
+                    yield (dropped, s) if flipped else (s, dropped)
 
-    explore = budget // 2
+    # fewer distinct pairs than half the budget would never end the loop
+    explore = min(budget // 2, math.comb(_subset_count(N, n), 2))
     while len(scored) < explore:
-        A = random_subset()
-        B = mutate(A) if rng.random() < 0.7 else random_subset()
-        score(A, B)
+        a = random_subset()
+        b = mutate(a) if rng.random() < 0.7 else random_subset()
+        score(a, b)
     stale = 0
     while len(scored) < budget and stale < 40:
         before = len(scored)
-        for _, (ka, kb) in sorted(top, reverse=True):
-            for A, B in neighbors(FSet(ka), FSet(kb)):
-                score(A, B)
+        for _, (a, b) in sorted(top, reverse=True):
+            for pair in neighbors(a, b):
+                score(*pair)
                 if len(scored) >= budget:
                     break
             if len(scored) >= budget:
                 break
         stale = stale + 1 if len(scored) == before else 0
-    if best[1] is None:
+    peak = max(scored.values(), default=-math.inf)
+    if peak == -math.inf:
         raise ValueError("all sampled pairs are at distance 0")
+    a, b = min(key for key, r in scored.items() if r == peak)
     stop = "budget" if len(scored) >= budget else "stale"
-    return best[0], (best[1], best[2]), len(scored), stop
+    return peak, (FSet(pts[i] for i in a), FSet(pts[i] for i in b)), len(scored), stop
 
 
 def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
@@ -360,14 +355,15 @@ class DisplacementReport:
     worst_displacement: float
 
 
-def check_displacement(f, domain, L, n, space=None, factor=None, tol=None):
+def check_displacement(f, domain, L, n, space=None, factor=None):
     """Verify the displacement bound Δ(f(A), A) ≤ (L + 1) δ_n(A) on a domain.
 
     Sets with fewer than n points have zero separation, so the bound forces
-    f to fix them; that is checked within tolerance.  Pass ``factor`` to test
-    a different multiple of δ_n, e.g. n − 1 for the line retraction.
+    f to fix them; that, and the bound itself, is checked within
+    ``get_tolerance()``.  Pass ``factor`` to test a different multiple of
+    δ_n, e.g. n − 1 for the line retraction.
     """
-    tol = _resolve_tol(tol)
+    tol = get_tolerance()
     if isinstance(domain, SubsetDomain):
         if not domain.exhaustive:
             raise ValueError("displacement check needs an enumerated domain")
@@ -441,16 +437,16 @@ class SampledPath:
         return {len(v) for v in self.values}
 
 
-def split_gh(f, z0, E, L=None, D=None, space=None, tol=None):
+def split_gh(f, z0, E, L=None, D=None, space=None):
     """Split a wide path f into two disjoint sub-paths g and h.
 
     E is a maximal well-separated subset of f(z0): its diameter is at most
     3LD(|E| - 1) and adding any other point of f(z0) pushes the diameter past
     3LD|E|.  Given diam f(z0) > 3(n-1)LD, the points within LD of E form
     g(z), the rest h(z); both halves are nonempty everywhere and inherit the
-    Lipschitz constant.
+    Lipschitz constant.  Every bound is checked within ``get_tolerance()``.
     """
-    tol = _resolve_tol(tol)
+    tol = get_tolerance()
     L = f.lipschitz if L is None else float(L)
     D = f.span() if D is None else float(D)
     d = _distance_fn(space)
@@ -488,7 +484,7 @@ def split_gh(f, z0, E, L=None, D=None, space=None, tol=None):
     return g, h
 
 
-def decompose_path(f, space=None, tol=None):
+def decompose_path(f, space=None):
     """Split a constant-cardinality path into individually Lipschitz branches.
 
     Requires every sample to have exactly n points and every grid step to be
@@ -511,7 +507,7 @@ def decompose_path(f, space=None, tol=None):
     rows = [[p] for p in f.values[0]]
     current = [p for p in f.values[0]]
     for A, B in zip(f.values, f.values[1:]):
-        link = match_bijection(A, B, space, tol=tol).as_dict()
+        link = match_bijection(A, B, space).as_dict()
         current = [link[p] for p in current]
         for row, p in zip(rows, current):
             row.append(p)

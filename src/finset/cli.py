@@ -264,12 +264,10 @@ def _cmd_ultra_build(args):
     report = {"is_ultrametric": check.is_ultrametric}
     base = space
     if not check.is_ultrametric:
-        sub = ultra.subdominant_ultrametric(space)
-        # sub is validated already; build_centers still checks ultrametricity
-        disc = ultra.disconnection_constant(space, validate=False)
+        base = ultra.subdominant_ultrametric(space)
+        disc = ultra.disconnection_constant(space)
         report["disconnection_constant"] = disc.constant
         report["disconnection_witness"] = list(disc.witness) if disc.witness else None
-        base = sub
     family = ultra.build_centers(base)
     report["levels"] = list(family.levels)
     report["scales"] = [family.scale(k) for k in family.levels]

@@ -11,20 +11,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .metric import FSet, RealLineSpace, _resolve_tol, min_separation
+from .metric import (FSet, RealLineSpace, _as_fset, _check_size, get_tolerance,
+                     min_separation)
 
 
-def _sorted_points(A, n):
-    """The points of A in ascending order; more than n points raise."""
-    pts = tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A)))
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
-    return pts
-
-
-def _as_fset(A, pts):
-    """A itself when it is an FSet, else the FSet of its sorted points."""
-    return A if isinstance(A, FSet) else FSet(pts)
+def _distinct_sorted(A, n):
+    """The distinct points of A in ascending order; more than n raise."""
+    return _check_size(tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A))), n)
 
 
 def rank_below(A, x):
@@ -37,7 +30,7 @@ def signed_rank(A, x):
     return sum((y > x) - (y < x) for y in A) / 2
 
 
-def line_retract(A, n, tol=None):
+def line_retract(A, n):
     """Collapse the closest pair of an n-point line set by sliding left.
 
     Each x in A moves to ``x - delta * rank_below(A, x)`` where delta is the
@@ -45,19 +38,19 @@ def line_retract(A, n, tol=None):
     never moves, the maximum never increases, and exact (integer or rational)
     inputs give exact outputs, so additive subgroups are preserved.
     """
-    pts = _sorted_points(A, n)
+    pts = _distinct_sorted(A, n)
     delta = min_separation(pts, n)
     if delta == 0:
         return _as_fset(A, pts)
     moved = [x - delta * i for i, x in enumerate(pts)]
-    out = FSet(moved, tol=_resolve_tol(tol))
+    out = FSet(moved, tol=get_tolerance())
     if len(out) > n - 1:
         raise ArithmeticError("closest pair failed to collapse; "
                               "input scale defeats the merge tolerance")
     return out
 
 
-def median_retract(A, n, tol=None):
+def median_retract(A, n):
     """Variant collapse that moves points toward the median.
 
     Each x moves to ``x + delta * signed_rank(A, x)``.  Landing in the smaller
@@ -65,12 +58,12 @@ def median_retract(A, n, tol=None):
     failure raises.  The signed rank is half-integral when |A| is even, so
     integer lattices are not preserved (unlike line_retract).
     """
-    pts = _sorted_points(A, n)
+    pts = _distinct_sorted(A, n)
     delta = min_separation(pts, n)
     if delta == 0:
         return _as_fset(A, pts)
     moved = [x + delta * signed_rank(pts, x) for x in pts]
-    out = FSet(moved, tol=_resolve_tol(tol))
+    out = FSet(moved, tol=get_tolerance())
     if len(out) > n - 1:
         raise ArithmeticError("median variant did not land in the smaller subset space")
     return out
@@ -228,7 +221,7 @@ def build_gap_expansion(X, n):
     return GapExpansion(forward, X, IntervalUnion(tuple(image)), need, worst)
 
 
-def interval_union_retract(X, A, n, tol=None, expansion=None):
+def interval_union_retract(X, A, n, expansion=None):
     """Retraction of the n-point subset space over an interval union X.
 
     Sets that meet n distinct intervals lose their minimum; every other set
@@ -236,8 +229,8 @@ def interval_union_retract(X, A, n, tol=None, expansion=None):
     projected back onto X.  Passing a prebuilt ``expansion`` avoids rebuilding
     it per call.
     """
-    tol = _resolve_tol(tol)
-    pts = _sorted_points(A, n)
+    tol = get_tolerance()
+    pts = _distinct_sorted(A, n)
     homes = [X.locate(a, tol) for a in pts]
     if None in homes:
         raise ValueError("point %r lies outside the union"
@@ -249,7 +242,7 @@ def interval_union_retract(X, A, n, tol=None, expansion=None):
     exp = expansion if expansion is not None else build_gap_expansion(X, n)
     forward = exp.forward
     inverse = exp.inverse
-    inner = line_retract(FSet(forward(a) for a in pts), n, tol=tol)
+    inner = line_retract(FSet(forward(a) for a in pts), n)
     back = [inverse(exp.image.project(v)) for v in inner]
     out = FSet((X.project(v) for v in back), tol=tol)
     if len(out) > n - 1:
@@ -299,7 +292,7 @@ def delete_min_retract(A, n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pts = _sorted_points(A, n)
+    pts = _distinct_sorted(A, n)
     if len(pts) == n:
         return FSet(pts[1:])
     return _as_fset(A, pts)

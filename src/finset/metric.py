@@ -28,10 +28,6 @@ def get_tolerance():
     return float(os.environ.get("FINSET_TOLERANCE", DEFAULT_TOLERANCE))
 
 
-def _resolve_tol(tol):
-    return get_tolerance() if tol is None else tol
-
-
 class EnumerationCapError(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""
 
@@ -91,8 +87,8 @@ class FSet:
         return "FSet(%r)" % (list(self.elements),)
 
     def approx_equal(self, other, tol=None):
-        """Set equality up to a per-point numeric tolerance."""
-        tol = _resolve_tol(tol)
+        """Set equality up to a per-point tolerance, by default ``get_tolerance()``."""
+        tol = get_tolerance() if tol is None else tol
         a, b = self.elements, tuple(other)
         if len(a) != len(b):
             return False
@@ -158,7 +154,7 @@ class FiniteMetricSpace:
 
     kind = "finite"
 
-    def __init__(self, points, dist, tol=None, validate=True):
+    def __init__(self, points, dist, validate=True):
         self.points = list(points)
         self.dist = np.array(dist, dtype=float)
         n = len(self.points)
@@ -169,7 +165,7 @@ class FiniteMetricSpace:
         if len(self._index) != n:
             raise ValueError("point identifiers must be distinct")
         if validate:
-            self.validate(tol)
+            self.validate()
 
     def d(self, a, b):
         return float(self.dist[self._index[a], self._index[b]])
@@ -193,9 +189,10 @@ class FiniteMetricSpace:
         off = self.dist[~np.eye(n, dtype=bool)]
         return float(off.min())
 
-    def validate(self, tol=None):
-        """Check the metric axioms within tolerance; raises ValueError."""
-        tol = _resolve_tol(tol)
+    def _check_pairs(self):
+        """Zero diagonal and symmetry within ``get_tolerance()``, and positive
+        distances between distinct points; raises ValueError."""
+        tol = get_tolerance()
         D = self.dist
         n = len(self.points)
         if np.abs(np.diag(D)).max(initial=0.0) > tol:
@@ -208,7 +205,13 @@ class FiniteMetricSpace:
                 i, j = divmod(int(np.argmin(D + np.eye(n) * np.inf)), n)
                 raise ValueError("non-positive distance between distinct points %r, %r"
                                  % (self.points[i], self.points[j]))
-        for k in range(n):
+
+    def validate(self):
+        """Check the metric axioms within ``get_tolerance()``; raises ValueError."""
+        self._check_pairs()
+        tol = get_tolerance()
+        D = self.dist
+        for k in range(len(self.points)):
             slack = D - (D[:, k][:, None] + D[k, :][None, :])
             worst = slack.max()
             if worst > tol:
@@ -218,7 +221,7 @@ class FiniteMetricSpace:
                     % (worst, self.points[i], self.points[k], self.points[j]))
 
     @classmethod
-    def from_coords(cls, coords, tol=None, validate=True):
+    def from_coords(cls, coords, validate=True):
         """Euclidean space on explicit coordinates (scalars or tuples)."""
         arr = np.asarray([c if isinstance(c, (tuple, list)) else (c,) for c in coords],
                          dtype=float)
@@ -226,7 +229,7 @@ class FiniteMetricSpace:
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         points = [tuple(float(x) for x in row) if row.size > 1 else float(row[0])
                   for row in arr]
-        return cls(points, dist, tol=tol, validate=validate)
+        return cls(points, dist, validate=validate)
 
     def to_json(self):
         return {
@@ -236,7 +239,7 @@ class FiniteMetricSpace:
         }
 
 
-def as_finite_space(space, tol=None, validate=True):
+def as_finite_space(space, validate=True):
     """Materialize a space as a FiniteMetricSpace on its listed points.
 
     Takes a FiniteMetricSpace (returned as is), a space with listed
@@ -250,11 +253,10 @@ def as_finite_space(space, tol=None, validate=True):
     if not coords:
         raise ValueError("space has no listed points")
     if any(isinstance(c, (tuple, list)) for c in coords):
-        return FiniteMetricSpace.from_coords(coords, tol=tol, validate=validate)
+        return FiniteMetricSpace.from_coords(coords, validate=validate)
     pts = [float(p) for p in coords]
     arr = np.asarray(pts)
-    return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]),
-                             tol=tol, validate=validate)
+    return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=validate)
 
 
 def space_from_json(data):
@@ -280,8 +282,19 @@ def _on_line(space):
     return space is None or isinstance(space, RealLineSpace)
 
 
-def _sorted_points(A):
+def _ascending(A):
     return A.elements if isinstance(A, FSet) else sorted(A)
+
+
+def _check_size(pts, n):
+    if len(pts) > n:
+        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    return pts
+
+
+def _as_fset(A, pts):
+    """A itself when it is an FSet, else the FSet of its points ``pts``."""
+    return A if isinstance(A, FSet) else FSet(pts)
 
 
 def _directed_line(xs, ys):
@@ -323,7 +336,7 @@ def hausdorff(A, B, space=None):
     all denominators, and the result is ``Fraction(h, lcm)``.
     """
     if _on_line(space):
-        xs, ys = _sorted_points(A), _sorted_points(B)
+        xs, ys = _ascending(A), _ascending(B)
         if not xs or not ys:
             raise ValueError("Hausdorff distance needs nonempty sets")
         den = None
@@ -352,9 +365,7 @@ def min_separation(A, n, space=None):
     consecutive sorted elements, the same value as the least over all pairs
     by the monotonicity argument of ``hausdorff``.
     """
-    pts = tuple(A)
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _check_size(tuple(A), n)
     if len(pts) < n or n == 1:
         return 0.0
     if _on_line(space):
@@ -373,9 +384,7 @@ def dist_to_lower(A, space, n, mode="within", cap=None):
     anywhere on the line.  Enumeration larger than ``cap`` candidate sets
     raises EnumerationCapError.
     """
-    pts = tuple(A)
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _check_size(tuple(A), n)
     if len(pts) < n:
         return 0.0
     if n == 1:
@@ -436,8 +445,9 @@ class Matching:
         return max(d(a, b) for a, b in self.pairs)
 
 
-def _verify_matching(pairs, a_pts, b_pts, bound, space, tol):
+def _verify_matching(pairs, a_pts, b_pts, bound, space):
     d = _distance_fn(space)
+    tol = get_tolerance()
     targets = {b for _, b in pairs}
     if len(targets) != len(b_pts) or targets != set(b_pts):
         raise MatchingError("assignment is not a bijection")
@@ -448,15 +458,14 @@ def _verify_matching(pairs, a_pts, b_pts, bound, space, tol):
                 % (a, b, d(a, b)))
 
 
-def match_bijection(A, B, space=None, tol=None):
+def match_bijection(A, B, space=None):
     """Pair the points of two well-separated equal-size sets.
 
     Requires max(min_separation(A), min_separation(B)) > 2 * hausdorff(A, B);
     each point then has a unique partner within the Hausdorff distance, so
     greedy nearest-neighbour assignment is a bijection.  The result is
-    verified before returning.
+    verified before returning, within ``get_tolerance()``.
     """
-    tol = _resolve_tol(tol)
     a_pts, b_pts = tuple(A), tuple(B)
     if len(a_pts) != len(b_pts):
         raise ValueError("sets must have equal size")
@@ -472,18 +481,18 @@ def match_bijection(A, B, space=None, tol=None):
     else:
         pairs = tuple((min(a_pts, key=lambda x: (d(x, y), _sort_key(x))), y) for y in b_pts)
         pairs = tuple(sorted(pairs, key=lambda p: _sort_key(p[0])))
-    _verify_matching(pairs, a_pts, b_pts, dh, space, tol)
+    _verify_matching(pairs, a_pts, b_pts, dh, space)
     return Matching(pairs)
 
 
-def match_order_preserving(A, B, tol=None):
+def match_order_preserving(A, B):
     """Order-preserving bijection between well-separated line sets.
 
     Same precondition as match_bijection; on the line the canonical matching
     pairs the sorted elements in order, and deleting the minima of both sets
     does not increase their Hausdorff distance.
     """
-    tol = _resolve_tol(tol)
+    tol = get_tolerance()
     a_pts, b_pts = tuple(sorted(A)), tuple(sorted(B))
     if len(a_pts) != len(b_pts):
         raise ValueError("sets must have equal size")

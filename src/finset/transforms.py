@@ -18,9 +18,9 @@ from .metric import (
     EnumerationCapError,
     FSet,
     FiniteMetricSpace,
-    _resolve_tol,
     as_finite_space,
     enumerate_fsets,
+    get_tolerance,
 )
 
 
@@ -83,14 +83,14 @@ class MetricTransform:
         raise ValueError("transform JSON needs kind power or table")
 
 
-def apply_transform(space, transform, tol=None):
+def apply_transform(space, transform):
     """Rewrite all distances through the transform and revalidate.
 
     Raises when φ∘d violates the metric axioms on some triple; powers with
     alpha ≤ 1 always pass, and powers above 1 pass on ultrametric spaces.
     """
     space = as_finite_space(space)
-    return FiniteMetricSpace(space.points, transform(space.dist), tol=tol)
+    return FiniteMetricSpace(space.points, transform(space.dist))
 
 
 def transport_constant(transform, L, distances):
@@ -242,7 +242,7 @@ class QhCheckReport:
     quadruples: int
 
 
-def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
+def check_induced_qh(f, space_x, space_y, n, eta, cap=None):
     """Check the quadruple condition for the induced map on subsets.
 
     Enumerates X(n) upstream (more than ``cap`` subsets, default
@@ -263,12 +263,13 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None, tol=None):
     EnumerationCapError.  The report names the first pair (a, b) in
     row-major order with the largest excess, or with a NaN excess (0/0 when
     f maps two sets to one image) if there is one, as ``np.argmax`` would.
+    The check passes when the worst excess is at most ``get_tolerance()``.
 
     ``quadruples`` counts what the condition ranges over in either mode: the
     ordered pairs of set pairs made of four distinct sets, C(N, 2) C(N-2, 2)
     for N sets.
     """
-    tol = _resolve_tol(tol)
+    tol = get_tolerance()
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     X, Y = as_finite_space(space_x), as_finite_space(space_y)
     sets = tuple(enumerate_fsets(X, n, cap=cap))

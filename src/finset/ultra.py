@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (FSet, FiniteMetricSpace, _resolve_tol, _ordered_points,
-                     as_finite_space)
+from .metric import (FSet, FiniteMetricSpace, _as_fset, _check_size, _ordered_points,
+                     as_finite_space, get_tolerance)
 
 
 class LevelRangeError(ValueError):
@@ -27,15 +27,15 @@ class UltraCheckReport:
     worst_triple: tuple | None
 
 
-def validate_ultrametric(space, tol=None):
+def validate_ultrametric(space):
     """Check d(x, y) <= max(d(x, z), d(z, y)) on all triples.
 
-    Reports the worst signed slack; the space passes when the slack is within
-    tolerance.  An exact ultrametric is accepted by comparing the matrix with
-    its single-linkage cophenetic matrix; any other matrix gets the
-    exhaustive O(n^3) scan, which names the worst triple.
+    Reports the worst signed slack; the space passes when the slack is at
+    most ``get_tolerance()``.  An exact ultrametric is accepted by comparing
+    the matrix with its single-linkage cophenetic matrix; any other matrix
+    gets the exhaustive O(n^3) scan, which names the worst triple.
     """
-    tol = _resolve_tol(tol)
+    tol = get_tolerance()
     space = as_finite_space(space, validate=False)
     D = space.dist
     n = len(space.points)
@@ -63,15 +63,13 @@ def validate_ultrametric(space, tol=None):
 @dataclass(frozen=True, eq=False)
 class CenterFamily:
     """Per-scale center maps: at level k, tau sends each point to the
-    representative of its open ball of radius ``base ** k``."""
+    representative of its open ball of radius ``0.5 ** k``."""
 
     levels: tuple
     maps: dict
-    lipschitz: float = 1.0
-    base: float = 0.5
 
     def scale(self, k):
-        return self.base ** k
+        return 0.5 ** k
 
     def tau(self, k, p):
         return self.maps[k][p]
@@ -97,7 +95,7 @@ def _matrix(space):
             {p: i for i, p in enumerate(space.points)})
 
 
-def build_centers(space, levels=None, tol=None):
+def build_centers(space, levels=None):
     """Greedy center family of an ultrametric space at dyadic scales.
 
     Per level, the first unassigned point in sorted order becomes a center
@@ -108,7 +106,7 @@ def build_centers(space, levels=None, tol=None):
     everything and the finest is injective.  The family's contraction, displacement, and
     separation properties are verified exhaustively before returning.
     """
-    report = validate_ultrametric(space, tol)
+    report = validate_ultrametric(space)
     if not report.is_ultrametric:
         raise ValueError("space is not ultrametric; worst triple %r fails by %.3g"
                          % (report.worst_triple, report.violation))
@@ -130,19 +128,18 @@ def build_centers(space, levels=None, tol=None):
                 owner[(owner < 0) & (D[c] < scale)] = c
         maps[k] = {p: order[c] for p, c in zip(order, owner.tolist())}
     family = CenterFamily(levels, maps)
-    verify_center_family(space, family, tol)
+    verify_center_family(space, family)
     return family
 
 
-def verify_center_family(space, family, tol=None):
+def verify_center_family(space, family):
     """Check the three center-map properties at every level; raises on failure.
 
-    At level k with scale s = base**k: each point moves by at most L*s,
-    distinct centers are at least s/L apart, and the map contracts distances
-    up to the factor L.
+    At level k with scale s = 0.5**k: each point moves by at most s,
+    distinct centers are at least s apart, and the map does not expand
+    distances, each within ``get_tolerance()``.
     """
-    tol = _resolve_tol(tol)
-    L = family.lipschitz
+    tol = get_tolerance()
     pts = list(space.points)
     D, row = _matrix(space)
     upper = np.triu(np.ones(D.shape, dtype=bool), 1)
@@ -150,13 +147,13 @@ def verify_center_family(space, family, tol=None):
         s = family.scale(k)
         m = family.maps[k]
         c = np.array([row[m[p]] for p in pts], dtype=np.intp)
-        displaced = D[np.arange(len(pts)), c] > L * s + tol
+        displaced = D[np.arange(len(pts)), c] > s + tol
         if displaced.any():
             p = pts[int(np.argmax(displaced))]
-            raise ValueError("level %d: point %r displaced beyond %g" % (k, p, L * s))
+            raise ValueError("level %d: point %r displaced beyond %g" % (k, p, s))
         Dc = D[np.ix_(c, c)]
-        close = (c[:, None] != c[None, :]) & (Dc < s / L - tol)
-        expands = Dc > L * D + tol
+        close = (c[:, None] != c[None, :]) & (Dc < s - tol)
+        expands = Dc > D + tol
         # the first failing pair in row-major order over i < j; on one pair,
         # "too close" is reported before "expands"
         bad = (close | expands) & upper
@@ -178,11 +175,9 @@ def generic_retract(family, A, n, m):
     """
     if not n > m >= 1:
         raise ValueError("need n > m >= 1, got n=%d m=%d" % (n, m))
-    pts = tuple(A)
-    if len(pts) > n:
-        raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
+    pts = _check_size(tuple(A), n)
     if len(pts) <= m:
-        return A if isinstance(A, FSet) else FSet(pts)
+        return _as_fset(A, pts)
     top = family.levels[-1]
     for k in reversed(family.levels):
         img = family.tau_set(k, pts)
@@ -222,14 +217,14 @@ class SnowflakePlan:
     constant_bound: float
 
 
-def build_snowflake_plan(space, target_l, tol=None):
+def build_snowflake_plan(space, target_l):
     alpha = snowflake_exponent(target_l)
-    powered = FiniteMetricSpace(space.points, space.dist ** alpha, tol=tol)
-    family = build_centers(powered, tol=tol)
+    powered = FiniteMetricSpace(space.points, space.dist ** alpha)
+    family = build_centers(powered)
     return SnowflakePlan(alpha, space, powered, family, 5.0 ** (1.0 / alpha))
 
 
-def snowflake_retract(space, A, n, m, target_l, plan=None, tol=None):
+def snowflake_retract(space, A, n, m, target_l, plan=None):
     """Retraction of an ultrametric subset space with constant <= target_l.
 
     Raising the metric to an integer power keeps it ultrametric while taking
@@ -237,7 +232,7 @@ def snowflake_retract(space, A, n, m, target_l, plan=None, tol=None):
     retracting many sets over the same space.
     """
     if plan is None:
-        plan = build_snowflake_plan(space, target_l, tol=tol)
+        plan = build_snowflake_plan(space, target_l)
     return generic_retract(plan.family, A, n, m)
 
 
@@ -255,11 +250,15 @@ def _cophenetic(D):
     return rho
 
 
-def subdominant_ultrametric(space, validate=True):
+def subdominant_ultrametric(space):
     """Largest ultrametric below the metric: the minimax chain distance,
-    which is the cophenetic distance of single linkage."""
+    which is the cophenetic distance of single linkage.  Its triangle
+    inequality holds by construction, as max(a, b) <= fl(a + b) for a, b >= 0,
+    so of the metric axioms only the pair checks run."""
     space = as_finite_space(space, validate=False)
-    return FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=validate)
+    sub = FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=False)
+    sub._check_pairs()
+    return sub
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ class DisconnectionReport:
     chain: tuple
 
 
-def disconnection_constant(space, validate=True):
+def disconnection_constant(space):
     """Least over point pairs of subdominant distance over distance.
 
     The constant lies in (0, 1], equals 1 exactly on ultrametric spaces, and
@@ -287,7 +286,7 @@ def disconnection_constant(space, validate=True):
     n = len(space.points)
     if n < 2:
         return DisconnectionReport(1.0, None, tuple(space.points))
-    rho = subdominant_ultrametric(space, validate=validate).dist
+    rho = subdominant_ultrametric(space).dist
     D = space.dist
     off = ~np.eye(n, dtype=bool)
     ratios = np.where(off, rho / np.where(off, D, 1.0), np.inf)

@@ -15,11 +15,13 @@ from finset import (
     RealLineSpace,
     SampledPath,
     SubsetDomain,
+    build_centers,
     check_displacement,
     decompose_path,
     delete_min_retract,
     enumerate_fsets,
     estimate_constant,
+    generic_retract,
     hausdorff,
     line_retract,
     lipschitz_obstruction_witness,
@@ -31,7 +33,8 @@ from finset import (
     validate_obstruction_witness,
 )
 from finset import analysis
-from finset.generators import harmonic_space, parabola_space
+from finset.generators import (dendrogram_space, harmonic_space, parabola_space,
+                               random_dendrogram)
 
 
 def brute_best_ratio(f, sets, beta=1.0, d=None):
@@ -103,6 +106,29 @@ class TestEstimateConstant:
         rep = estimate_constant(lambda A: delete_min_retract(A, 4), small,
                                 seed=0, pair_budget=4000)
         assert rep.constant == pytest.approx(9.0, rel=1e-6)
+
+    def test_sampled_on_tuple_points(self):
+        # a 6 x 5 lattice: points are coordinate tuples, sorted as tuples
+        lattice = FiniteMetricSpace.from_coords(
+            [(float(x), float(y)) for x in range(6) for y in range(5)])
+        dom = SubsetDomain.build(lattice, 3, cap=10)
+        rep = estimate_constant(lambda A: delete_min_retract(A, 3), dom,
+                                seed=1, pair_budget=3000)
+        assert repr(rep.constant) == "5.656854249492381"
+        assert rep.witness == (FSet([(0.0, 0.0), (4.0, 3.0)]),
+                               FSet([(0.0, 0.0), (4.0, 4.0), (5.0, 3.0)]))
+        assert (rep.pairs_examined, rep.stop_reason) == (1796, "stale")
+
+    def test_sampled_on_integer_points(self):
+        # a 40-leaf dendrogram lists its integer leaves in tree order
+        tree = dendrogram_space(random_dendrogram(40, seed=5))
+        family = build_centers(tree)
+        dom = SubsetDomain.build(tree, 3, cap=10)
+        rep = estimate_constant(lambda A: generic_retract(family, A, 3, 2), dom,
+                                hoelder_exponent=0.5, seed=3, pair_budget=3000)
+        assert repr(rep.constant) == "1.2834355260239558"
+        assert rep.witness == (FSet([11, 33, 37]), FSet([11, 37]))
+        assert (rep.pairs_examined, rep.stop_reason) == (1740, "stale")
 
     def test_invalid_exponent(self):
         dom = SubsetDomain.build(RealLineSpace([0.0, 1.0]), 2)

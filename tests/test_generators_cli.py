@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +235,22 @@ class TestCli:
             "--budget", "20000", "--seed", "0"])
         report = json.loads(out)
         assert (report["pairs_examined"], report["stop_reason"]) == (11347, "stale")
+
+    def test_estimate_lip_ends_on_few_pairs(self):
+        # 28 sets make 378 pairs, fewer than the 1,000 the exploration of a
+        # 2,000-pair budget asks for; a subprocess, so that a hang fails
+        import finset
+        src = os.path.dirname(os.path.dirname(os.path.abspath(finset.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "finset.cli", "estimate-lip",
+             "--space", '{"kind": "harmonic", "K": 6}', "--map", "delete-min",
+             "--n", "2", "--cap", "5", "--budget", "2000"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["mode"] == "sampled" and report["constant"] == 1.0
+        assert (report["pairs_examined"], report["stop_reason"]) == (378, "stale")
 
     def test_witness_exact_fields(self, capsys):
         code, out, _ = run_cli(capsys, ["witness", "--L", "3/2"])

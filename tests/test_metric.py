@@ -1,5 +1,7 @@
 """Ground metric layer: FSet, Hausdorff distance, separation, matchings."""
 
+import dataclasses
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -336,3 +338,54 @@ def test_tolerance_env_override(monkeypatch):
     assert get_tolerance() == 1e-3
     monkeypatch.delenv("FINSET_TOLERANCE")
     assert get_tolerance() == 1e-9
+
+
+def _public_signatures():
+    import finset
+    for name in finset.__all__:
+        obj = getattr(finset, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(name + "." + m, getattr(obj, m)) for m in vars(obj)
+                        if not m.startswith("_")]
+        for label, member in members:
+            try:
+                yield label, inspect.signature(member).parameters
+            except (TypeError, ValueError):  # modules, exception classes
+                continue
+
+
+def test_one_global_tolerance_and_no_dead_knobs():
+    # the comparison tolerance is FINSET_TOLERANCE alone; these five take a
+    # tol of another meaning (merge distance, per-point or membership slack)
+    with_tol = {label for label, params in _public_signatures() if "tol" in params}
+    assert with_tol == {"FSet", "FSet.approx_equal", "IntervalUnion.locate",
+                        "IntervalUnion.contains", "HarmonicSet.contains"}
+    params = dict(_public_signatures())
+    for name in ("subdominant_ultrametric", "disconnection_constant"):
+        assert "validate" not in params[name]
+    from finset import CenterFamily
+    assert [f.name for f in dataclasses.fields(CenterFamily)] == ["levels", "maps"]
+
+
+def test_tolerance_moves_the_verdicts(monkeypatch):
+    from finset import QhModulus, check_induced_qh, validate_ultrametric
+    # d(b, c) exceeds max(d(b, a), d(a, c)) by about 1e-6
+    D = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0 + 1e-6], [1.0, 1.0 + 1e-6, 0.0]]
+    almost_ultra = FiniteMetricSpace(["a", "b", "c"], D)
+    # the identity onto a copy of 0, 1, 2, 3 with its last point moved by
+    # 1e-6: ratios of set distances move by at most about 1e-6
+    X = RealLineSpace([0.0, 1.0, 2.0, 3.0])
+    coords = np.array([0.0, 1.0, 2.0, 3.0 + 1e-6])
+    Y = FiniteMetricSpace(X.points, np.abs(coords[:, None] - coords[None, :]))
+
+    def verdicts():
+        return [validate_ultrametric(almost_ultra).is_ultrametric,
+                check_induced_qh(lambda p: p, X, Y, 1, QhModulus.linear(1.0)).ok,
+                check_induced_qh(lambda p: p, X, Y, 1, QhModulus.power(1.0)).ok]
+
+    assert verdicts() == [False, False, False]
+    monkeypatch.setenv("FINSET_TOLERANCE", "1e-5")
+    assert verdicts() == [True, True, True]
+    monkeypatch.setenv("FINSET_TOLERANCE", "1e-7")
+    assert verdicts() == [False, False, False]

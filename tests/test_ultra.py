@@ -291,6 +291,16 @@ class TestSubdominant:
         assert np.allclose(rho.dist, sp.dist)
 
 
+def test_subdominant_keeps_the_pair_checks():
+    # distinct points at distance 0 stay at 0 under single linkage
+    D = np.array([[0, 0, 2, 2], [0, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0.]])
+    space = FiniteMetricSpace(["a", "b", "c", "d"], D, validate=False)
+    for f in (subdominant_ultrametric, disconnection_constant):
+        with pytest.raises(ValueError,
+                           match="non-positive distance between distinct points 'a', 'b'"):
+            f(space)
+
+
 class TestDisconnection:
     def test_cantor_depth2_frozen(self):
         report = disconnection_constant(cantor_space(1 / 3, 2))
