@@ -87,7 +87,7 @@ class ConstantReport:
 
 
 class _PackedFamily:
-    """Index-packed sets over a shared point universe.
+    """Index-packed sets over their own universe: the points they contain.
 
     ``idx`` is (num_sets, k) with each row the universe indices of one set,
     padded by repeating the first index (padding never changes Hausdorff
@@ -105,7 +105,8 @@ class _PackedFamily:
     direction reads.
     """
 
-    def __init__(self, sets, key, lookup, dist_univ):
+    def __init__(self, sets, space):
+        key, lookup, dist_univ = _universe(sets, space)
         k = max(len(s) for s in sets)
         idx = np.empty((len(sets), k), dtype=np.intp)
         for row, s in enumerate(sets):
@@ -118,19 +119,17 @@ class _PackedFamily:
         self.fwd = self.bwd if symmetric else self._minima(dist_univ.T)
 
     def _minima(self, dist_univ):
-        # dist_univ is either a square distance matrix or a 1-D array of
-        # line positions; both yield (rows, universe) minima chunkwise
-        idx = self.idx
-        out = np.empty((dist_univ.shape[0], len(idx)))
-        chunk = max(1, int(2e7) // max(1, idx.shape[1] * dist_univ.shape[0]))
-        for r in range(0, len(idx), chunk):
-            rows = idx[r:r + chunk]
-            if dist_univ.ndim == 1:
-                gap = np.abs(dist_univ[rows][:, :, None] - dist_univ[None, None, :])
-                part = gap.min(axis=1)
+        """Table [u, s] = min over a in s of ``dist_univ[a, u]``, or of |u - a|
+        for line positions, folded one column of ``idx`` at a time: packing
+        peaks at the table plus one more array of its size."""
+        out = np.full((len(dist_univ), len(self.idx)), np.inf)
+        gap = np.empty_like(out) if dist_univ.ndim == 1 else None
+        for c in self.idx.T:
+            if gap is None:
+                np.minimum(out, dist_univ[c].T, out=out)
             else:
-                part = dist_univ[rows].min(axis=1)
-            out[:, r:r + chunk] = part.T
+                np.subtract.outer(dist_univ, dist_univ[c], out=gap)
+                np.minimum(out, np.abs(gap, out=gap), out=out)
         return out
 
 
@@ -162,7 +161,7 @@ def _pair_distances(sets, space):
     """Hausdorff distances of all pairs i < j of ``sets``, in
     ``np.triu_indices(len(sets), 1)`` order, as ``_hausdorff_block`` gives
     them."""
-    fam = _PackedFamily(sets, *_universe(sets, (), space))
+    fam = _PackedFamily(sets, space)
     N = len(sets)
     H = np.zeros((N, N))
     for i0 in range(0, N, _BLOCK):
@@ -171,23 +170,23 @@ def _pair_distances(sets, space):
     return H[np.triu_indices(N, 1)]
 
 
-def _universe(sets, images, space):
-    """Shared point universe: element key function, index lookup, distances."""
+def _universe(sets, space):
+    """The distinct points of ``sets``: element key function, index lookup,
+    and their distances (a square matrix, or line positions in order)."""
     if isinstance(space, FiniteMetricSpace):
-        missing = next((p for fam in (sets, images) for s in fam for p in s
-                        if p not in space._index), None)
-        if missing is not None:
-            raise ValueError("point %r is not in the space" % (missing,))
-        return (lambda p: p), space._index, space.dist
-    vals = sorted({float(p) for fam in (sets, images) for s in fam for p in s})
-    lookup = {v: i for i, v in enumerate(vals)}
-    return float, lookup, np.array(vals)
+        try:
+            used = sorted({space._index[p] for s in sets for p in s})
+        except KeyError as exc:
+            raise ValueError("point %r is not in the space" % exc.args) from None
+        lookup = {space.points[i]: u for u, i in enumerate(used)}
+        return (lambda p: p), lookup, space.dist[np.ix_(used, used)]
+    vals = sorted({float(p) for s in sets for p in s})
+    return float, {v: u for u, v in enumerate(vals)}, np.array(vals)
 
 
 def _exhaustive_search(sets, images, space, beta):
-    key, lookup, dist_univ = _universe(sets, images, space)
-    dom = _PackedFamily(sets, key, lookup, dist_univ)
-    img = _PackedFamily(images, key, lookup, dist_univ)
+    dom = _PackedFamily(sets, space)
+    img = _PackedFamily(images, space)
     N = len(sets)
     best = -math.inf
     arg = None
@@ -197,10 +196,11 @@ def _exhaustive_search(sets, images, space, beta):
             Hd = _hausdorff_block(dom, i0, j0)
             Hi = _hausdorff_block(img, i0, j0)
             mask = Hd > 0
-            if beta != 1.0:
+            denom = Hd
+            if beta == 0.5:
+                denom = np.sqrt(Hd)
+            elif beta != 1.0:
                 denom = np.power(Hd, beta, out=np.ones_like(Hd), where=mask)
-            else:
-                denom = Hd
             R = np.divide(Hi, denom, out=np.full_like(Hi, -np.inf), where=mask)
             a, b = R.shape
             if i0 == j0:

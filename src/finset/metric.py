@@ -200,9 +200,9 @@ class FiniteMetricSpace:
         if n and np.abs(D - D.T).max() > tol:
             raise ValueError("distance matrix is not symmetric")
         if n > 1:
-            off = D[~np.eye(n, dtype=bool)]
+            off = np.where(np.eye(n, dtype=bool), np.inf, D)
             if off.min() <= 0:
-                i, j = divmod(int(np.argmin(D + np.eye(n) * np.inf)), n)
+                i, j = divmod(int(np.argmin(off)), n)
                 raise ValueError("non-positive distance between distinct points %r, %r"
                                  % (self.points[i], self.points[j]))
 

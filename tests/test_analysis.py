@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +223,106 @@ def test_exhaustive_search_keeps_the_orientation_of_hausdorff(shape, beta):
     rep = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
     assert rep.constant == best
     assert rep.witness == arg
+
+
+def first_max_ratio(f, sets, beta, space):
+    # exact reference: scalar hausdorff ratios, and the first maximum in
+    # combinations order as the witness
+    best, arg = -math.inf, None
+    for A, B in itertools.combinations(sets, 2):
+        r = hausdorff(f(A), f(B), space) / hausdorff(A, B, space) ** beta
+        if r > best:
+            best, arg = r, (A, B)
+    return best, arg
+
+
+def unequal_grid():
+    # 14 points with gaps drawn in [0.05, 1.5], rounded to 0.01
+    rng = random.Random(41)
+    grid = [0.0]
+    for _ in range(13):
+        grid.append(round(grid[-1] + rng.uniform(0.05, 1.5), 2))
+    return RealLineSpace(grid)
+
+
+class TestPackedFamily:
+    """Each family is packed over its own points, so the domain's minima
+    table does not grow with the points its images land on."""
+
+    def grid_families(self):
+        sets = enumerate_fsets(unequal_grid(), 4)
+        return sets, [line_retract(A, 4) for A in sets]
+
+    def test_each_family_has_a_row_per_own_point(self):
+        sets, images = self.grid_families()
+        image_points = {float(p) for B in images for p in B}
+        assert len(image_points) > 14  # the images fall off the grid
+        dom = analysis._PackedFamily(sets, None)
+        img = analysis._PackedFamily(images, None)
+        assert dom.bwd.shape == (14, len(sets))
+        assert img.bwd.shape == (len(image_points), len(images))
+
+    def test_packing_peaks_near_two_tables(self):
+        _, images = self.grid_families()
+        tracemalloc.start()
+        try:
+            fam = analysis._PackedFamily(images, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * fam.bwd.nbytes
+
+    def test_line_retract_on_the_grid_matches_scalar_hausdorff(self):
+        # n = 3 keeps the scalar reference near a second (n = 4 takes ten)
+        sets = enumerate_fsets(unequal_grid(), 3)
+        f = functools.lru_cache(maxsize=None)(lambda A: line_retract(A, 3))
+        assert {float(p) for A in sets for p in f(A)} - set(unequal_grid().points)
+        best, arg = first_max_ratio(f, sets, 1.0, None)
+        rep = estimate_constant(f, sets)
+        assert rep.constant == best
+        assert rep.witness == arg
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+    def test_images_on_points_no_domain_set_uses(self, beta):
+        # the domain uses the first two rows of the lattice and its images
+        # the last two, so the two families are packed over different points
+        sp = skewed_lattice()
+        sets = [A for A in enumerate_fsets(sp, 3) if set(A) <= set(sp.points[:6])]
+        shift = dict(zip(sp.points, sp.points[3:] + sp.points[:3]))
+        f = lambda A: FSet(shift[p] for p in A)
+        best, arg = first_max_ratio(f, sets, beta, sp)
+        rep = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
+        assert rep.constant == best
+        assert rep.witness == arg
+
+
+class _MaskedPowerNumpy:
+    """numpy, but with the square root taken by the masked power that the
+    exhaustive kernel used for every beta < 1 before it used np.sqrt."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sqrt(x):
+        return np.power(x, 0.5, out=np.ones_like(x), where=x > 0)
+
+
+@pytest.mark.parametrize("case", ["harmonic", "skewed-lattice"])
+def test_square_root_kernel_matches_the_masked_power(case, monkeypatch):
+    if case == "harmonic":
+        sp, sets = None, enumerate_fsets(harmonic_space(16), 4)
+        f = lambda A: delete_min_retract(A, 4)
+    else:
+        sp = skewed_lattice()
+        sets = enumerate_fsets(sp, 3)
+        f = lambda A: FSet(list(A)[:2])
+    fast = estimate_constant(f, sets, hoelder_exponent=0.5, space=sp)
+    monkeypatch.setattr(analysis, "np", _MaskedPowerNumpy())
+    slow = estimate_constant(f, sets, hoelder_exponent=0.5, space=sp)
+    assert repr(fast.constant) == repr(slow.constant)
+    assert fast.witness == slow.witness
+    assert fast.pairs_examined == slow.pairs_examined
 
 
 class TestCheckDisplacement:

@@ -301,6 +301,18 @@ def test_subdominant_keeps_the_pair_checks():
             f(space)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pair_checks_name_the_pair_at_distance_zero():
+    # the only zero lies between c and d, after the first two points
+    D = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 0], [2, 2, 0, 0.]])
+    space = FiniteMetricSpace(["a", "b", "c", "d"], D, validate=False)
+    for f in (subdominant_ultrametric, disconnection_constant,
+              FiniteMetricSpace.validate):
+        with pytest.raises(ValueError,
+                           match="non-positive distance between distinct points 'c', 'd'"):
+            f(space)
+
+
 class TestDisconnection:
     def test_cantor_depth2_frozen(self):
         report = disconnection_constant(cantor_space(1 / 3, 2))
