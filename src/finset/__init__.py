@@ -79,7 +79,6 @@ from .ultra import (
     generic_retract,
     generic_retract_bound,
     snowflake_exponent,
-    snowflake_retract,
     subdominant_ultrametric,
     validate_ultrametric,
     verify_center_family,

@@ -149,6 +149,23 @@ class RealLineSpace:
         return data
 
 
+def _triple_slacks(D, cover):
+    """Per pivot z in order, ``(peak, (i, j), z)``: the largest slack
+    D[i, j] - cover(D[i, z], D[z, j]), NaN if any slack is, and its first
+    (i, j) in row-major order, as ``np.argmax`` finds it (the first NaN).
+
+    ``cover`` is ``np.add`` for the triangle inequality, ``np.maximum`` for
+    the strong one.  One n x n buffer, rewritten whole at every pivot, takes
+    the cover and then the slack, so the scan allocates nothing per pivot.
+    """
+    n = len(D)
+    buf = np.empty((n, n))
+    for z in range(n):
+        cover(D[:, z, None], D[z], out=buf)
+        np.subtract(D, buf, out=buf)
+        yield buf.max(), divmod(int(np.argmax(buf)), n), z
+
+
 class FiniteMetricSpace:
     """A finite point set with an explicit symmetric distance matrix."""
 
@@ -207,15 +224,12 @@ class FiniteMetricSpace:
                                  % (self.points[i], self.points[j]))
 
     def validate(self):
-        """Check the metric axioms within ``get_tolerance()``; raises ValueError."""
+        """Check the metric axioms within ``get_tolerance()``; raises ValueError
+        naming the first pivot whose worst triangle slack exceeds it."""
         self._check_pairs()
         tol = get_tolerance()
-        D = self.dist
-        for k in range(len(self.points)):
-            slack = D - (D[:, k][:, None] + D[k, :][None, :])
-            worst = slack.max()
+        for worst, (i, j), k in _triple_slacks(self.dist, np.add):
             if worst > tol:
-                i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
                 raise ValueError(
                     "triangle inequality fails by %.3g on (%r, %r, %r)"
                     % (worst, self.points[i], self.points[k], self.points[j]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import (FSet, FiniteMetricSpace, _as_fset, _check_size, _ordered_points,
-                     as_finite_space, get_tolerance)
+                     _triple_slacks, as_finite_space, get_tolerance)
 
 
 class LevelRangeError(ValueError):
@@ -33,7 +33,8 @@ def validate_ultrametric(space):
     Reports the worst signed slack; the space passes when the slack is at
     most ``get_tolerance()``.  An exact ultrametric is accepted by comparing
     the matrix with its single-linkage cophenetic matrix; any other matrix
-    gets the exhaustive O(n^3) scan, which names the worst triple.
+    gets the O(n^3) scan of ``_triple_slacks``, which names the first worst
+    triple: the earliest pivot, then row-major order.
     """
     tol = get_tolerance()
     space = as_finite_space(space, validate=False)
@@ -47,35 +48,24 @@ def validate_ultrametric(space):
     if ((D >= 0) & (D < math.inf)).all() and np.array_equal(D, _cophenetic(D)):
         p0 = space.points[0]
         return UltraCheckReport(0.0 <= tol, 0.0, (p0, p0, p0))
-    worst = -math.inf
-    arg = None
-    for z in range(n):
-        cover = np.maximum(D[:, z][:, None], D[z, :][None, :])
-        slack = D - cover
-        peak = float(slack.max())
+    worst, arg = -math.inf, None
+    for peak, (i, j), z in _triple_slacks(D, np.maximum):
         if peak > worst:
-            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-            worst = peak
+            worst = float(peak)
             arg = (space.points[i], space.points[j], space.points[z])
     return UltraCheckReport(worst <= tol, worst, arg)
 
 
 @dataclass(frozen=True, eq=False)
 class CenterFamily:
-    """Per-scale center maps: at level k, tau sends each point to the
-    representative of its open ball of radius ``0.5 ** k``."""
+    """Per-scale center maps: at level k, ``maps[k]`` sends each point to the
+    representative of its open ball of radius ``scale(k) = 0.5 ** k``."""
 
     levels: tuple
     maps: dict
 
     def scale(self, k):
         return 0.5 ** k
-
-    def tau(self, k, p):
-        return self.maps[k][p]
-
-    def tau_set(self, k, A):
-        return FSet(self.maps[k][p] for p in A)
 
 
 def _auto_levels(space):
@@ -169,8 +159,8 @@ def generic_retract(family, A, n, m):
     """Collapse A to at most m points using the coarsest level that works.
 
     Given n > m >= 1 and |A| <= n, picks the largest level k whose center map
-    sends A to at most m points and applies it.  Sets with at most m points
-    are fixed.  Raises LevelRangeError when the family's levels cannot
+    sends A to at most m points and returns that image.  Sets with at most m
+    points are fixed.  Raises LevelRangeError when the family's levels cannot
     certify the choice.
     """
     if not n > m >= 1:
@@ -180,12 +170,12 @@ def generic_retract(family, A, n, m):
         return _as_fset(A, pts)
     top = family.levels[-1]
     for k in reversed(family.levels):
-        img = family.tau_set(k, pts)
+        img = {family.maps[k][p] for p in pts}
         if len(img) <= m:
             if k == top:
                 raise LevelRangeError(
                     "level range is truncated above; cannot certify the maximal level")
-            return img
+            return FSet(img)
     raise LevelRangeError("no level in range collapses the set to %d points" % m)
 
 
@@ -207,8 +197,9 @@ def snowflake_exponent(target_l):
 
 @dataclass(frozen=True, eq=False)
 class SnowflakePlan:
-    """Prebuilt data for snowflake_retract: the powered metric, its centers,
-    and the resulting constant bound 5 ** (1/alpha) <= target."""
+    """The metric to the power alpha, still ultrametric, its centers, and the
+    bound 5 ** (1/alpha) <= target that the power takes the generic constant
+    5 to, for ``generic_retract(plan.family, A, n, m)``."""
 
     alpha: int
     space: FiniteMetricSpace
@@ -222,18 +213,6 @@ def build_snowflake_plan(space, target_l):
     powered = FiniteMetricSpace(space.points, space.dist ** alpha)
     family = build_centers(powered)
     return SnowflakePlan(alpha, space, powered, family, 5.0 ** (1.0 / alpha))
-
-
-def snowflake_retract(space, A, n, m, target_l, plan=None):
-    """Retraction of an ultrametric subset space with constant <= target_l.
-
-    Raising the metric to an integer power keeps it ultrametric while taking
-    the generic constant 5 to 5 ** (1/alpha); pass a prebuilt plan when
-    retracting many sets over the same space.
-    """
-    if plan is None:
-        plan = build_snowflake_plan(space, target_l)
-    return generic_retract(plan.family, A, n, m)
 
 
 def _cophenetic(D):

@@ -41,7 +41,6 @@ from finset import (
     min_separation,
     qc_bounds,
     quasiconvexity_constant,
-    snowflake_retract,
     split_gh,
     subdominant_ultrametric,
     validate_obstruction_witness,
@@ -188,8 +187,7 @@ def test_c05_ultrametric_constants():
         rep = estimate_constant(lambda A: generic_retract(fam, A, 3, 2), dom)
         worst_generic = max(worst_generic, rep.constant)
         plan = build_snowflake_plan(sp, 1.25)
-        rep = estimate_constant(
-            lambda A: snowflake_retract(sp, A, 3, 2, 1.25, plan=plan), dom)
+        rep = estimate_constant(lambda A: generic_retract(plan.family, A, 3, 2), dom)
         worst_snow = max(worst_snow, rep.constant)
     elapsed = time.time() - start
     ok = worst_generic <= 5.0 + 1e-9 and worst_snow <= 1.25 + 1e-9 \

@@ -389,3 +389,101 @@ def test_tolerance_moves_the_verdicts(monkeypatch):
     assert verdicts() == [True, True, True]
     monkeypatch.setenv("FINSET_TOLERANCE", "1e-7")
     assert verdicts() == [False, False, False]
+
+
+def reference_validate(space):
+    # FiniteMetricSpace.validate before the shared triple scan: two fresh
+    # n x n arrays per pivot, argmax only at the failing pivot
+    space._check_pairs()
+    tol = get_tolerance()
+    D = space.dist
+    for k in range(len(space.points)):
+        slack = D - (D[:, k][:, None] + D[k, :][None, :])
+        worst = slack.max()
+        if worst > tol:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            raise ValueError(
+                "triangle inequality fails by %.3g on (%r, %r, %r)"
+                % (worst, space.points[i], space.points[k], space.points[j]))
+
+
+def reference_validate_ultrametric(space):
+    # validate_ultrametric before the shared triple scan, fast accept included
+    from finset.ultra import _cophenetic
+    tol = get_tolerance()
+    D = space.dist
+    n = len(space.points)
+    if n < 3:
+        return (True, repr(0.0), None)
+    if ((D >= 0) & (D < math.inf)).all() and np.array_equal(D, _cophenetic(D)):
+        p0 = space.points[0]
+        return (0.0 <= tol, repr(0.0), (p0, p0, p0))
+    worst = -math.inf
+    arg = None
+    for z in range(n):
+        cover = np.maximum(D[:, z][:, None], D[z, :][None, :])
+        slack = D - cover
+        peak = float(slack.max())
+        if peak > worst:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            worst = peak
+            arg = (space.points[i], space.points[j], space.points[z])
+    return (worst <= tol, repr(worst), arg)
+
+
+def _slack_matrices():
+    """Matrices for the triple-scan differential: metrics, small integer
+    non-metrics whose slacks tie within and across pivots, asymmetric ones,
+    and copies holding NaN, inf and signed zeros."""
+    rng = np.random.default_rng(7)
+    out = [np.zeros((n, n)) for n in range(4)]
+    out += [np.array([[0.0, 2.0], [2.0, 0.0]]), np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0.0]])]
+    for n in (3, 5, 8, 12):
+        pts = rng.normal(size=(n, 2))
+        out.append(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)))
+    for n in (3, 4, 5, 6, 7, 9):
+        for _ in range(6):
+            D = rng.integers(1, 6, size=(n, n)).astype(float)
+            D = np.triu(D, 1) + np.triu(D, 1).T
+            out.append(D)
+            out.append(D + np.triu(rng.integers(0, 2, size=(n, n)), 1))
+    spiked = []
+    for D in out[-12:]:
+        n = len(D)
+        for value in (math.nan, math.inf, -math.inf):
+            E = D.copy()
+            i, j = rng.integers(0, n, size=2)
+            E[i, j] = E[j, i] = value
+            spiked.append(E)
+        E = D.copy()
+        E[np.diag_indices(n)] = -0.0
+        E[0, n - 1] = -1.0
+        spiked.append(E)
+    return out + spiked
+
+
+def test_triple_scan_matches_the_per_pivot_loops():
+    # the first failing pivot and its row-major triple in the validate
+    # message, and the whole validate_ultrametric report, as before
+    from finset import validate_ultrametric
+    several = 0
+    for D in _slack_matrices():
+        points = ["p%d" % i for i in range(len(D))]
+        space = FiniteMetricSpace(points, D, validate=False)
+        outcomes = []
+        for check in (FiniteMetricSpace.validate, reference_validate):
+            try:
+                with np.errstate(invalid="ignore"):
+                    check(space)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], D
+        with np.errstate(invalid="ignore"):
+            report = validate_ultrametric(space)
+            reference = reference_validate_ultrametric(space)
+            fails = [(D - (D[:, k, None] + D[k])).max() > get_tolerance() for k in range(len(D))]
+        assert (report.is_ultrametric, repr(report.violation), report.worst_triple) == reference, D
+        several += sum(fails) > 1
+    # most integer matrices fail the triangle inequality at several pivots
+    assert several > 30

@@ -18,10 +18,10 @@ from finset import (
     build_centers,
     build_snowflake_plan,
     disconnection_constant,
+    enumerate_fsets,
     generic_retract,
     generic_retract_bound,
     snowflake_exponent,
-    snowflake_retract,
     subdominant_ultrametric,
     validate_ultrametric,
     verify_center_family,
@@ -156,8 +156,8 @@ class TestCenterFamily:
         sp = RealLineSpace([0.0, 0.125])
         fam = build_centers(sp)
         assert fam.levels == (2, 3, 4)
-        assert fam.tau_set(2, (0.0, 0.125)) == FSet((0.0,))
-        assert fam.tau_set(3, (0.0, 0.125)) == FSet((0.0, 0.125))
+        assert fam.maps[2] == {0.0: 0.0, 0.125: 0.0}
+        assert fam.maps[3] == {0.0: 0.0, 0.125: 0.125}
 
     def test_family_properties_on_dendrograms(self):
         spaces = [dendrogram_space(random_dendrogram(6, seed=seed)) for seed in (0, 1, 2)]
@@ -232,6 +232,54 @@ class TestGenericRetract:
         assert generic_retract_bound(lipschitz=2.0, base=0.5) == 33.0
 
 
+def reference_generic_retract(family, A, n, m):
+    # generic_retract before it counted centers: an FSet at every level
+    pts = tuple(A)
+    if len(pts) <= m:
+        return A
+    top = family.levels[-1]
+    for k in reversed(family.levels):
+        img = FSet(family.maps[k][p] for p in pts)
+        if len(img) <= m:
+            if k == top:
+                raise LevelRangeError(
+                    "level range is truncated above; cannot certify the maximal level")
+            return img
+    raise LevelRangeError("no level in range collapses the set to %d points" % m)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generic_retract_matches_the_per_level_fset_scan(seed):
+    # trees of 10 to 40 leaves; X(4) on the small ones, X(3) or X(2) on the
+    # large ones keeps the test to a few seconds
+    leaves = 10 + 30 * seed // 9
+    sp = dendrogram_space(random_dendrogram(leaves, seed=seed))
+    fam = build_centers(sp)
+    families = [fam, build_snowflake_plan(sp, 1.25).family,
+                # the finest level already collapses, or no level ever does
+                CenterFamily(fam.levels[:1], fam.maps), CenterFamily(fam.levels[-1:], fam.maps)]
+    top_n = 4 if leaves <= 16 else 3 if leaves <= 26 else 2
+    sets = enumerate_fsets(sp, top_n)
+    errors = set()
+    for family in families:
+        for n in range(2, top_n + 1):
+            for A in sets:
+                if len(A) > n:
+                    break
+                for m in range(1, n):
+                    outcomes = []
+                    for retract in (generic_retract, reference_generic_retract):
+                        try:
+                            outcomes.append(retract(family, A, n, m))
+                        except LevelRangeError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1], (A, n, m)
+                    if isinstance(outcomes[0], str):
+                        errors.add(outcomes[0].split(";")[0])
+    assert errors == {"level range is truncated above"} | {
+        "no level in range collapses the set to %d points" % m for m in range(1, top_n)}
+
+
 class TestSnowflake:
     def test_exponent_frozen(self):
         assert snowflake_exponent(1.25) == 8
@@ -258,7 +306,7 @@ class TestSnowflake:
         sp = dendrogram_space(random_dendrogram(6, seed=2))
         plan = build_snowflake_plan(sp, 1.25)
         A = FSet(sp.points[:3])
-        out = snowflake_retract(sp, A, 3, 2, 1.25, plan=plan)
+        out = generic_retract(plan.family, A, 3, 2)
         assert len(out) <= 2
         assert set(out) <= set(sp.points)
 
