@@ -9,6 +9,7 @@ harmonic set admits no Lipschitz bound.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -24,6 +25,7 @@ from .metric import (
     FiniteMetricSpace,
     _distance_fn,
     _ordered_points,
+    _subset_count,
     as_finite_space,
     enumerate_fsets,
     get_tolerance,
@@ -36,10 +38,6 @@ _PAIR_BUDGET = 20000
 # sets per block side: a 128 x 128 float64 block is 128 KiB and stays in
 # cache, where 1024 x 1024 (8 MiB) does not
 _BLOCK = 128
-
-
-def _subset_count(num_points, n):
-    return sum(math.comb(num_points, k) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +188,6 @@ def _exhaustive_search(sets, images, space, beta):
     N = len(sets)
     best = -math.inf
     arg = None
-    pairs = 0
     for i0 in range(0, N, _BLOCK):
         for j0 in range(i0, N, _BLOCK):
             Hd = _hausdorff_block(dom, i0, j0)
@@ -202,13 +199,9 @@ def _exhaustive_search(sets, images, space, beta):
             elif beta != 1.0:
                 denom = np.power(Hd, beta, out=np.ones_like(Hd), where=mask)
             R = np.divide(Hi, denom, out=np.full_like(Hi, -np.inf), where=mask)
-            a, b = R.shape
             if i0 == j0:
-                R[np.tril_indices(a)] = -np.inf
-                pairs += a * (a - 1) // 2
-            else:
-                pairs += a * b
-            peak = float(R.max()) if R.size else -math.inf
+                R[np.tril_indices(len(R))] = -np.inf
+            peak = float(R.max())
             if peak < best or peak == -math.inf:
                 continue
             li, lj = np.argwhere(R == peak)[0]
@@ -217,7 +210,7 @@ def _exhaustive_search(sets, images, space, beta):
                 best, arg = peak, cand
     if arg is None:
         raise ValueError("all pairs in the domain are at distance 0")
-    return best, (sets[arg[0]], sets[arg[1]]), pairs
+    return best, (sets[arg[0]], sets[arg[1]]), math.comb(N, 2)
 
 
 def _sampled_search(space, n, beta, seed, budget, image):
@@ -320,15 +313,7 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     if not 0.0 < beta <= 1.0:
         raise ValueError("Hoelder exponent must lie in (0, 1]")
     kind = "lipschitz" if beta == 1.0 else "hoelder"
-    cache = {}
-
-    def image(A):
-        out = cache.get(A)
-        if out is None:
-            out = f(A)
-            cache[A] = out
-        return out
-
+    image = functools.cache(f)
     if isinstance(domain, SubsetDomain):
         space = domain.space
         if not domain.exhaustive:
@@ -428,10 +413,6 @@ class SampledPath:
 
     def span(self):
         return self.grid[-1] - self.grid[0]
-
-    def max_step(self, space=None):
-        return max((hausdorff(a, b, space)
-                    for a, b in zip(self.values, self.values[1:])), default=0.0)
 
     def cardinalities(self):
         return {len(v) for v in self.values}

@@ -301,6 +301,17 @@ def build_parser():
                        help="generator spec: inline JSON or a path to a JSON file")
         p.add_argument("--out", help="write the report here instead of stdout")
 
+    def retraction(p):
+        p.add_argument("--map", required=True,
+                       help="retraction: line, median, delete-min, interval-union, "
+                            "generic (or ultra), snowflake")
+        p.add_argument("--n", type=int, required=True,
+                       help="the map's domain is X(n), the sets of at most n points")
+        p.add_argument("--m", type=int,
+                       help="the generic and snowflake maps land in X(m), default n - 1")
+        p.add_argument("--target-l", type=float, default=1.25,
+                       help="Lipschitz target of the snowflake map")
+
     common(sub.add_parser("validate", help="check metric and ultrametric axioms"))
 
     p = sub.add_parser("hausdorff", help="Hausdorff distance between two sets")
@@ -310,20 +321,16 @@ def build_parser():
 
     p = sub.add_parser("retract", help="apply a named retraction to one set")
     common(p, space_required=False)
-    p.add_argument("--map", required=True)
+    retraction(p)
     p.add_argument("--set", required=True, help="input set as a JSON list")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--target-l", type=float, default=1.25)
 
     p = sub.add_parser("estimate-lip", help="estimate a Lipschitz or Hoelder constant")
     common(p)
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--target-l", type=float, default=1.25)
+    retraction(p)
+    p.add_argument("--exponent", type=float, default=1.0,
+                   help="Hoelder exponent in (0, 1]; 1 gives a Lipschitz constant")
+    p.add_argument("--budget", type=int, default=20000,
+                   help="pairs a sampled search may score")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="largest X(n) searched exhaustively; above it the "
                         "search is sampled")
@@ -333,17 +340,20 @@ def build_parser():
     p = sub.add_parser("witness", help="exact chain witness against Lipschitz deletion")
     common(p, space_required=False)
     p.add_argument("--L", required=True, help="Lipschitz bound to defeat, e.g. 1 or 3/2")
-    p.add_argument("--full-chain", action="store_true")
+    p.add_argument("--full-chain", action="store_true",
+                   help="list every set of the chain in the report")
 
     p = sub.add_parser("quasiconvexity", help="shortest-path to distance ratio")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True,
+                   help="neighbor radius: the graph joins points at most eps apart")
 
     p = sub.add_parser("transform", help="rewrite distances through a transform")
     common(p)
     p.add_argument("--transform", required=True,
                    help="transform spec: inline JSON or a path")
-    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--L", type=float, default=1.0,
+                   help="Lipschitz constant to transport through the transform")
 
     common(sub.add_parser("ultra-build",
                           help="center family of an ultrametric space"))

@@ -30,6 +30,21 @@ def signed_rank(A, x):
     return sum((y > x) - (y < x) for y in A) / 2
 
 
+def _slide(A, n, ranks, failure):
+    """Move each x of an n-point set to ``x - delta * r``, r its entry in
+    ``ranks(pts)`` and delta the minimum separation of the sorted pts, merging
+    within ``get_tolerance()``; an image of more than n - 1 points raises
+    ArithmeticError(failure).  Sets with fewer than n points are fixed."""
+    pts = _distinct_sorted(A, n)
+    delta = min_separation(pts, n)
+    if delta == 0:
+        return _as_fset(A, pts)
+    out = FSet((x - delta * r for x, r in zip(pts, ranks(pts))), tol=get_tolerance())
+    if len(out) > n - 1:
+        raise ArithmeticError(failure)
+    return out
+
+
 def line_retract(A, n):
     """Collapse the closest pair of an n-point line set by sliding left.
 
@@ -38,16 +53,8 @@ def line_retract(A, n):
     never moves, the maximum never increases, and exact (integer or rational)
     inputs give exact outputs, so additive subgroups are preserved.
     """
-    pts = _distinct_sorted(A, n)
-    delta = min_separation(pts, n)
-    if delta == 0:
-        return _as_fset(A, pts)
-    moved = [x - delta * i for i, x in enumerate(pts)]
-    out = FSet(moved, tol=get_tolerance())
-    if len(out) > n - 1:
-        raise ArithmeticError("closest pair failed to collapse; "
-                              "input scale defeats the merge tolerance")
-    return out
+    return _slide(A, n, lambda pts: range(len(pts)),
+                  "closest pair failed to collapse; input scale defeats the merge tolerance")
 
 
 def median_retract(A, n):
@@ -58,15 +65,8 @@ def median_retract(A, n):
     failure raises.  The signed rank is half-integral when |A| is even, so
     integer lattices are not preserved (unlike line_retract).
     """
-    pts = _distinct_sorted(A, n)
-    delta = min_separation(pts, n)
-    if delta == 0:
-        return _as_fset(A, pts)
-    moved = [x + delta * signed_rank(pts, x) for x in pts]
-    out = FSet(moved, tol=get_tolerance())
-    if len(out) > n - 1:
-        raise ArithmeticError("median variant did not land in the smaller subset space")
-    return out
+    return _slide(A, n, lambda pts: [-signed_rank(pts, x) for x in pts],
+                  "median variant did not land in the smaller subset space")
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,6 @@ class PiecewiseLinearMap:
 
     def inverse(self):
         return PiecewiseLinearMap(self.values, self.breakpoints)
-
-    @property
-    def max_slope(self):
-        xs, ys = self.breakpoints, self.values
-        if len(xs) < 2:
-            return 1.0
-        return max(1.0, max((y1 - y0) / (x1 - x0)
-                            for (x0, x1), (y0, y1)
-                            in zip(zip(xs, xs[1:]), zip(ys, ys[1:]))))
 
 
 @dataclass(frozen=True)
@@ -275,12 +266,6 @@ class HarmonicSet:
         if k < 1 or (self.K is not None and k > self.K):
             return False
         return abs(x - 1 / k) <= tol
-
-    @staticmethod
-    def neighbor_gaps(t):
-        """Distances from an interior element t to its neighbours t/(1+t)
-        below and t/(1-t) above (untruncated set)."""
-        return t * t / (1 + t), t * t / (1 - t)
 
 
 def delete_min_retract(A, n):

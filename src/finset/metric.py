@@ -207,11 +207,16 @@ class FiniteMetricSpace:
         return float(off.min())
 
     def _check_pairs(self):
-        """Zero diagonal and symmetry within ``get_tolerance()``, and positive
-        distances between distinct points; raises ValueError."""
+        """Finite entries, zero diagonal and symmetry within ``get_tolerance()``,
+        and positive distances between distinct points; raises ValueError."""
         tol = get_tolerance()
         D = self.dist
         n = len(self.points)
+        finite = np.isfinite(D)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), n)
+            raise ValueError("non-finite distance %r between %r, %r"
+                             % (float(D[i, j]), self.points[i], self.points[j]))
         if np.abs(np.diag(D)).max(initial=0.0) > tol:
             raise ValueError("nonzero diagonal entry in distance matrix")
         if n and np.abs(D - D.T).max() > tol:
@@ -287,9 +292,7 @@ def space_from_json(data):
 
 
 def _distance_fn(space):
-    if space is None:
-        return lambda a, b: abs(a - b)
-    return space.d
+    return RealLineSpace.d if space is None else space.d
 
 
 def _on_line(space):
@@ -403,30 +406,20 @@ def dist_to_lower(A, space, n, mode="within", cap=None):
         return 0.0
     if n == 1:
         raise ValueError("there is no subset space below n=1")
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if mode == "within":
-        universe = list(dict.fromkeys(space.points))
-        if not universe:
+        candidates = space
+        if not space.points:
             raise ValueError("space lists no points to enumerate")
     elif mode == "ambient":
         if space is not None and not isinstance(space, RealLineSpace):
             raise ValueError("ambient mode is only defined on the line")
         base = set(space.points) if space is not None else set()
         mids = {(a + b) / 2 for a, b in itertools.combinations(pts, 2)}
-        universe = sorted(base | set(pts) | mids)
+        candidates = RealLineSpace(base | set(pts) | mids)
     else:
         raise ValueError("unknown mode %r" % (mode,))
-    total = sum(math.comb(len(universe), k) for k in range(1, n))
-    if total > cap:
-        raise EnumerationCapError(
-            "%d candidate sets exceed the cap of %d" % (total, cap))
-    best = math.inf
-    for k in range(1, n):
-        for cand in itertools.combinations(universe, k):
-            h = hausdorff(pts, cand, space)
-            if h < best:
-                best = h
-    return best
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    return min(hausdorff(pts, c, space) for c in enumerate_fsets(candidates, n - 1, cap))
 
 
 def _sort_key(p):
@@ -454,9 +447,19 @@ class Matching:
     def as_dict(self):
         return dict(self.pairs)
 
-    def max_displacement(self, space=None):
-        d = _distance_fn(space)
-        return max(d(a, b) for a, b in self.pairs)
+
+def _separated(a_pts, b_pts, space=None):
+    """The size and separation precondition of match_bijection; returns
+    hausdorff(A, B) and min_separation(A)."""
+    if len(a_pts) != len(b_pts):
+        raise ValueError("sets must have equal size")
+    n = len(a_pts)
+    dh = hausdorff(a_pts, b_pts, space)
+    da = min_separation(a_pts, n, space)
+    db = min_separation(b_pts, n, space)
+    if not max(da, db) > 2 * dh:
+        raise ValueError("sets are not separated enough for a canonical matching")
+    return dh, da
 
 
 def _verify_matching(pairs, a_pts, b_pts, bound, space):
@@ -481,14 +484,7 @@ def match_bijection(A, B, space=None):
     verified before returning, within ``get_tolerance()``.
     """
     a_pts, b_pts = tuple(A), tuple(B)
-    if len(a_pts) != len(b_pts):
-        raise ValueError("sets must have equal size")
-    n = len(a_pts)
-    dh = hausdorff(a_pts, b_pts, space)
-    da = min_separation(a_pts, n, space)
-    db = min_separation(b_pts, n, space)
-    if not max(da, db) > 2 * dh:
-        raise ValueError("sets are not separated enough for a canonical matching")
+    dh, da = _separated(a_pts, b_pts, space)
     d = _distance_fn(space)
     if da > 2 * dh:
         pairs = tuple((x, min(b_pts, key=lambda y: (d(x, y), _sort_key(y)))) for x in a_pts)
@@ -508,14 +504,7 @@ def match_order_preserving(A, B):
     """
     tol = get_tolerance()
     a_pts, b_pts = tuple(sorted(A)), tuple(sorted(B))
-    if len(a_pts) != len(b_pts):
-        raise ValueError("sets must have equal size")
-    n = len(a_pts)
-    dh = hausdorff(a_pts, b_pts)
-    da = min_separation(a_pts, n)
-    db = min_separation(b_pts, n)
-    if not max(da, db) > 2 * dh:
-        raise ValueError("sets are not separated enough for a canonical matching")
+    dh, _ = _separated(a_pts, b_pts)
     pairs = tuple(zip(a_pts, b_pts))
     for a, b in pairs:
         if abs(a - b) > dh + tol:
@@ -523,6 +512,11 @@ def match_order_preserving(A, B):
                 "order-preserving pair (%r, %r) displaced beyond the Hausdorff distance"
                 % (a, b))
     return Matching(pairs)
+
+
+def _subset_count(num_points, n):
+    """The number of nonempty subsets with at most n of num_points points."""
+    return sum(math.comb(num_points, k) for k in range(1, n + 1))
 
 
 def _ordered_points(space):
@@ -539,11 +533,7 @@ def enumerate_fsets(space, n, cap=None):
     size.  A cap (when given) bounds the number of subsets produced.
     """
     pts = _ordered_points(space)
-    total = sum(math.comb(len(pts), k) for k in range(1, n + 1))
+    total = _subset_count(len(pts), n)
     if cap is not None and total > cap:
         raise EnumerationCapError("%d subsets exceed the cap of %d" % (total, cap))
-    out = []
-    for k in range(1, n + 1):
-        for comb in itertools.combinations(pts, k):
-            out.append(FSet(comb))
-    return out
+    return [FSet(c) for k in range(1, n + 1) for c in itertools.combinations(pts, k)]

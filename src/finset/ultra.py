@@ -34,7 +34,8 @@ def validate_ultrametric(space):
     most ``get_tolerance()``.  An exact ultrametric is accepted by comparing
     the matrix with its single-linkage cophenetic matrix; any other matrix
     gets the O(n^3) scan of ``_triple_slacks``, which names the first worst
-    triple: the earliest pivot, then row-major order.
+    triple: the earliest pivot, then row-major order.  A NaN slack, as a
+    NaN or infinite distance gives, is the worst and fails the check.
     """
     tol = get_tolerance()
     space = as_finite_space(space, validate=False)
@@ -50,9 +51,11 @@ def validate_ultrametric(space):
         return UltraCheckReport(0.0 <= tol, 0.0, (p0, p0, p0))
     worst, arg = -math.inf, None
     for peak, (i, j), z in _triple_slacks(D, np.maximum):
-        if peak > worst:
+        if not peak <= worst:
             worst = float(peak)
             arg = (space.points[i], space.points[j], space.points[z])
+            if math.isnan(worst):
+                break
     return UltraCheckReport(worst <= tol, worst, arg)
 
 

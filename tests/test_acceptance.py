@@ -54,6 +54,8 @@ from finset.generators import (
     rickman_rug,
 )
 
+from brute import brute_minimax
+
 EQUAL_GRID = [float(i) for i in range(10)]
 UNEQUAL_GRID = [0.0, 0.07, 0.3, 1.1, 1.7, 2.0, 3.5, 5.1, 7.9, 9.0]
 
@@ -195,17 +197,6 @@ def test_c05_ultrametric_constants():
     verdict(5, "ultrametric constants", ok,
             "generic %.3f<=5, snowflake %.4f<=1.25, 20 spaces in %.1fs"
             % (worst_generic, worst_snow, elapsed))
-
-
-def brute_minimax(D, i, j):
-    n = D.shape[0]
-    rest = [k for k in range(n) if k not in (i, j)]
-    best = D[i, j]
-    for size in range(len(rest) + 1):
-        for mid in itertools.permutations(rest, size):
-            path = (i,) + mid + (j,)
-            best = min(best, max(D[a, b] for a, b in zip(path, path[1:])))
-    return best
 
 
 def test_c06_subdominant_ultrametric():

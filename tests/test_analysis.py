@@ -357,7 +357,6 @@ class TestSampledPath:
                                      [FSet((0.0,)), FSet((2.0,)), FSet((3.0,))])
         assert p.lipschitz == 2.0
         assert p.span() == 2.0
-        assert p.max_step() == 2.0
         assert p.cardinalities() == {1}
 
     def test_validation(self):

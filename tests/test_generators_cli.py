@@ -1,5 +1,6 @@
 """Example space generators and the command-line front end."""
 
+import argparse
 import csv
 import json
 import math
@@ -142,6 +143,14 @@ def run_cli(capsys, argv):
 
 
 class TestCli:
+    def test_every_option_has_help(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(cli._COMMANDS)
+        silent = [(name, action.option_strings) for name, p in sub.choices.items()
+                  for action in p._actions if not action.help]
+        assert silent == []
+
     def test_validate_dendrogram(self, capsys):
         code, out, err = run_cli(capsys, [
             "validate", "--space", '{"kind": "dendrogram", "leaves": 5}'])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finset import (
@@ -14,13 +14,15 @@ from finset import (
     PiecewiseLinearMap,
     build_gap_expansion,
     delete_min_retract,
+    get_tolerance,
     hausdorff,
     interval_union_retract,
     line_retract,
     median_retract,
     min_separation,
 )
-from finset.line import rank_below, signed_rank
+from finset.line import _distinct_sorted, rank_below, signed_rank
+from finset.metric import _as_fset
 
 
 int_grids = st.sets(st.integers(min_value=-30, max_value=30), min_size=2, max_size=6)
@@ -92,6 +94,70 @@ class TestMedianRetract:
         assert min(A) <= min(out) and max(out) <= max(A)
 
 
+def parent_line_retract(A, n):
+    # line_retract before the shared slide, verbatim
+    pts = _distinct_sorted(A, n)
+    delta = min_separation(pts, n)
+    if delta == 0:
+        return _as_fset(A, pts)
+    moved = [x - delta * i for i, x in enumerate(pts)]
+    out = FSet(moved, tol=get_tolerance())
+    if len(out) > n - 1:
+        raise ArithmeticError("closest pair failed to collapse; "
+                              "input scale defeats the merge tolerance")
+    return out
+
+
+def parent_median_retract(A, n):
+    # median_retract before the shared slide, verbatim
+    pts = _distinct_sorted(A, n)
+    delta = min_separation(pts, n)
+    if delta == 0:
+        return _as_fset(A, pts)
+    moved = [x + delta * signed_rank(pts, x) for x in pts]
+    out = FSet(moved, tol=get_tolerance())
+    if len(out) > n - 1:
+        raise ArithmeticError("median variant did not land in the smaller subset space")
+    return out
+
+
+def outcome(f, A, n):
+    """The repr of every output element, or the ArithmeticError message."""
+    try:
+        return [repr(x) for x in f(A, n)]
+    except ArithmeticError as exc:
+        return "ArithmeticError: %s" % exc
+
+
+# signed zeros, and magnitudes up to 1e15 where the slide's rounding can
+# exceed the merge tolerance
+slide_points = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1e15, 1e15]),
+                                  st.floats(-1e15, 1e15)), min_size=1, max_size=6)
+
+
+class TestSlide:
+    # the closest pair of the first example straddles 0, where its gap rounds
+    @settings(max_examples=500)
+    @given(slide_points, st.integers(0, 1), st.booleans())
+    @example([-(1e15 + 0.125), 1e15], 0, False)
+    @example([-0.0, 1.0, 3.0], 0, True)
+    def test_matches_the_parent_bodies(self, points, extra, as_fset):
+        A = FSet(points) if as_fset else points
+        n = len(set(points)) + extra
+        for f, parent in ((line_retract, parent_line_retract),
+                          (median_retract, parent_median_retract)):
+            assert outcome(f, A, n) == outcome(parent, A, n)
+
+    def test_large_magnitude_failures(self):
+        A = [-(1e15 + 0.125), 1e15]
+        assert outcome(line_retract, A, 2) == (
+            "ArithmeticError: closest pair failed to collapse; "
+            "input scale defeats the merge tolerance")
+        assert outcome(median_retract, A, 2) == (
+            "ArithmeticError: median variant did not land in the smaller subset space")
+        assert outcome(line_retract, [-0.0, 1.0, 3.0], 3) == ["-0.0", "1.0"]
+
+
 class TestIntervalUnion:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -144,9 +210,6 @@ class TestPiecewiseLinearMap:
         g = f.inverse()
         for x in (-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 4.0):
             assert g(f(x)) == pytest.approx(x, abs=1e-12)
-
-    def test_max_slope(self):
-        assert PiecewiseLinearMap((0.0, 1.0, 2.0), (0.0, 5.0, 6.0)).max_slope == 5.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

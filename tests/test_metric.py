@@ -28,6 +28,8 @@ from finset import (
 )
 from finset.metric import as_finite_space
 
+from brute import strong_triangle
+
 
 def brute_hausdorff(A, B, d=None):
     # independent reference: literal max of the two directed sup-inf distances
@@ -244,7 +246,7 @@ class TestMatchings:
         A = FSet((0.0, 10.0, 20.0))
         B = FSet((0.1, 9.8, 20.3))
         m = match_bijection(A, B)
-        assert m.max_displacement() == pytest.approx(hausdorff(A, B), abs=1e-12)
+        assert max(abs(a - b) for a, b in m) == pytest.approx(hausdorff(A, B), abs=1e-12)
         assert sorted(b for _, b in m.pairs) == sorted(B)
 
     def test_size_mismatch(self):
@@ -407,30 +409,6 @@ def reference_validate(space):
                 % (worst, space.points[i], space.points[k], space.points[j]))
 
 
-def reference_validate_ultrametric(space):
-    # validate_ultrametric before the shared triple scan, fast accept included
-    from finset.ultra import _cophenetic
-    tol = get_tolerance()
-    D = space.dist
-    n = len(space.points)
-    if n < 3:
-        return (True, repr(0.0), None)
-    if ((D >= 0) & (D < math.inf)).all() and np.array_equal(D, _cophenetic(D)):
-        p0 = space.points[0]
-        return (0.0 <= tol, repr(0.0), (p0, p0, p0))
-    worst = -math.inf
-    arg = None
-    for z in range(n):
-        cover = np.maximum(D[:, z][:, None], D[z, :][None, :])
-        slack = D - cover
-        peak = float(slack.max())
-        if peak > worst:
-            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-            worst = peak
-            arg = (space.points[i], space.points[j], space.points[z])
-    return (worst <= tol, repr(worst), arg)
-
-
 def _slack_matrices():
     """Matrices for the triple-scan differential: metrics, small integer
     non-metrics whose slacks tie within and across pivots, asymmetric ones,
@@ -462,6 +440,24 @@ def _slack_matrices():
     return out + spiked
 
 
+def test_non_finite_distances_fail_both_checks():
+    # validate names the first non-finite entry; the ultrametric check ranks
+    # the first NaN slack worst instead of skipping it
+    from finset import validate_ultrametric
+    nan, inf = math.nan, math.inf
+    cases = [([[0, nan, 1], [nan, 0, 1], [1, 1, 0]], "nan between 'a', 'b'", ("a", "b", "a")),
+             ([[nan, 5, 1], [5, 0, 1], [1, 1, 0]], "nan between 'a', 'a'", ("a", "a", "a")),
+             ([[0, 1, inf], [1, 0, 1], [inf, 1, 0]], "inf between 'a', 'c'", ("a", "c", "a"))]
+    for D, named, triple in cases:
+        with pytest.raises(ValueError, match="^non-finite distance %s$" % named):
+            FiniteMetricSpace(["a", "b", "c"], D)
+        space = FiniteMetricSpace(["a", "b", "c"], D, validate=False)
+        with np.errstate(invalid="ignore"):
+            report = validate_ultrametric(space)
+        assert (report.is_ultrametric, math.isnan(report.violation), report.worst_triple) == (
+            False, True, triple)
+
+
 def test_triple_scan_matches_the_per_pivot_loops():
     # the first failing pivot and its row-major triple in the validate
     # message, and the whole validate_ultrametric report, as before
@@ -481,7 +477,8 @@ def test_triple_scan_matches_the_per_pivot_loops():
         assert outcomes[0] == outcomes[1], D
         with np.errstate(invalid="ignore"):
             report = validate_ultrametric(space)
-            reference = reference_validate_ultrametric(space)
+            ok, worst, triple = strong_triangle(space)
+            reference = (ok, repr(worst), triple)
             fails = [(D - (D[:, k, None] + D[k])).max() > get_tolerance() for k in range(len(D))]
         assert (report.is_ultrametric, repr(report.violation), report.worst_triple) == reference, D
         several += sum(fails) > 1

@@ -1,6 +1,5 @@
 """Ultrametric machinery: center families, snowflaking, subdominant metric."""
 
-import itertools
 import os
 import subprocess
 import sys
@@ -28,31 +27,7 @@ from finset import (
 )
 from finset.generators import cantor_space, dendrogram_space, random_dendrogram
 
-
-def brute_minimax(D, i, j):
-    # reference subdominant distance: minimize the largest step over all
-    # simple paths from i to j
-    n = D.shape[0]
-    rest = [k for k in range(n) if k not in (i, j)]
-    best = D[i, j]
-    for size in range(len(rest) + 1):
-        for mid in itertools.permutations(rest, size):
-            path = (i,) + mid + (j,)
-            best = min(best, max(D[a, b] for a, b in zip(path, path[1:])))
-    return best
-
-
-def brute_validate(space):
-    # reference strong-triangle check: every triple, worst slack first found
-    D, pts = space.dist, space.points
-    worst, arg = -np.inf, None
-    for z in range(len(pts)):
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                slack = float(D[i, j] - max(D[i, z], D[z, j]))
-                if slack > worst:
-                    worst, arg = slack, (pts[i], pts[j], pts[z])
-    return (worst <= 1e-9, worst, arg)
+from brute import brute_minimax, strong_triangle
 
 
 def lattice_cloud():
@@ -133,7 +108,7 @@ class TestValidate:
         ultra.append(subdominant_ultrametric(lattice_cloud()))
         for sp in ultra:
             report = astuple(validate_ultrametric(sp))
-            assert report == brute_validate(sp) == (True, 0.0, (sp.points[0],) * 3)
+            assert report == strong_triangle(sp) == (True, 0.0, (sp.points[0],) * 3)
         others = random_clouds(3, 15) + [lattice_cloud()]
         for sp in ultra[:4]:
             # one distance raised a hair above an ultrametric: a pass within
@@ -144,7 +119,7 @@ class TestValidate:
                 others.append(FiniteMetricSpace(sp.points, D, validate=False))
         for sp in others:
             report = astuple(validate_ultrametric(sp))
-            assert report == brute_validate(sp)
+            assert report == strong_triangle(sp)
             assert report[1] > 0
         assert [validate_ultrametric(sp).is_ultrametric for sp in others[-8:]] == [True, False] * 4
 
