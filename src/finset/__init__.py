@@ -41,7 +41,6 @@ from .metric import (
     EnumerationCapError,
     FSet,
     FiniteMetricSpace,
-    Matching,
     MatchingError,
     RealLineSpace,
     dist_to_lower,
@@ -68,6 +67,7 @@ from .transforms import (
     transport_constant,
 )
 from .ultra import (
+    GENERIC_BOUND,
     CenterFamily,
     DisconnectionReport,
     LevelRangeError,
@@ -77,7 +77,6 @@ from .ultra import (
     build_snowflake_plan,
     disconnection_constant,
     generic_retract,
-    generic_retract_bound,
     snowflake_exponent,
     subdominant_ultrametric,
     validate_ultrametric,

@@ -418,7 +418,7 @@ class SampledPath:
         return {len(v) for v in self.values}
 
 
-def split_gh(f, z0, E, L=None, D=None, space=None):
+def split_gh(f, z0, E, L=None, space=None):
     """Split a wide path f into two disjoint sub-paths g and h.
 
     E is a maximal well-separated subset of f(z0): its diameter is at most
@@ -429,7 +429,7 @@ def split_gh(f, z0, E, L=None, D=None, space=None):
     """
     tol = get_tolerance()
     L = f.lipschitz if L is None else float(L)
-    D = f.span() if D is None else float(D)
+    D = f.span()
     d = _distance_fn(space)
     try:
         i0 = f.grid.index(z0)
@@ -488,7 +488,7 @@ def decompose_path(f, space=None):
     rows = [[p] for p in f.values[0]]
     current = [p for p in f.values[0]]
     for A, B in zip(f.values, f.values[1:]):
-        link = match_bijection(A, B, space).as_dict()
+        link = dict(match_bijection(A, B, space))
         current = [link[p] for p in current]
         for row, p in zip(rows, current):
             row.append(p)

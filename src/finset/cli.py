@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -50,6 +51,8 @@ def _parse_set(text):
 
 
 def _jsonable(obj):
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, FSet):
@@ -136,31 +139,22 @@ def _domain_space(space):
 
 def _cmd_validate(args):
     space = _load_space(args.space)
-    if isinstance(space, line.IntervalUnion):
-        report = {"space": _space_summary(space), "valid": True}
-        _emit_json(report, args.out)
-        return 0
-    # line spaces are valid by construction; explicit matrices get rechecked
-    if isinstance(space, FiniteMetricSpace):
-        space.validate()
-    check = ultra.validate_ultrametric(space)
-    report = {
-        "space": _space_summary(space),
-        "valid": True,
-        "is_ultrametric": check.is_ultrametric,
-        "ultrametric_slack": check.violation,
-        "min_positive_distance": space.min_positive_distance(),
-    }
-    _emit_json(report, args.out)
-    return 0
+    report = {"space": _space_summary(space), "valid": True}
+    if not isinstance(space, line.IntervalUnion):
+        # line spaces are valid by construction; explicit matrices get rechecked
+        if isinstance(space, FiniteMetricSpace):
+            space.validate()
+        check = ultra.validate_ultrametric(space)
+        report.update(is_ultrametric=check.is_ultrametric,
+                      ultrametric_slack=check.violation,
+                      min_positive_distance=space.min_positive_distance())
+    return report
 
 
 def _cmd_hausdorff(args):
     space = _load_space(args.space) if args.space else None
     A, B = _parse_set(args.a), _parse_set(args.b)
-    report = {"a": A, "b": B, "distance": hausdorff(A, B, space)}
-    _emit_json(report, args.out)
-    return 0
+    return {"a": A, "b": B, "distance": hausdorff(A, B, space)}
 
 
 def _cmd_retract(args):
@@ -171,7 +165,7 @@ def _cmd_retract(args):
     f = _retraction(args.map, space, n, m, args.target_l)
     out = f(A)
     dom = _domain_space(space) if space is not None else None
-    report = {
+    return {
         "map": args.map,
         "n": n,
         "m": m,
@@ -180,8 +174,6 @@ def _cmd_retract(args):
         "displacement": hausdorff(A, out, dom),
         "min_separation": min_separation(A, n, dom),
     }
-    _emit_json(report, args.out)
-    return 0
 
 
 def _cmd_estimate_lip(args):
@@ -194,22 +186,14 @@ def _cmd_estimate_lip(args):
     report = analysis.estimate_constant(
         f, domain, hoelder_exponent=args.exponent,
         seed=args.seed, pair_budget=args.budget)
+    if not (args.out and args.out.endswith(".csv")):
+        return report
     row = [report.kind, report.constant, report.exponent,
            json.dumps(_jsonable(report.witness[0])),
            json.dumps(_jsonable(report.witness[1])),
            report.pairs_examined, report.mode]
-    if args.out and args.out.endswith(".csv"):
-        _emit_csv(["kind", "constant", "exponent", "witness_a", "witness_b",
-                   "pairs_examined", "mode"], [row], args.out)
-    else:
-        _emit_json({
-            "kind": report.kind, "constant": report.constant,
-            "exponent": report.exponent,
-            "witness": [report.witness[0], report.witness[1]],
-            "pairs_examined": report.pairs_examined, "mode": report.mode,
-            "stop_reason": report.stop_reason,
-        }, args.out)
-    return 0
+    _emit_csv(["kind", "constant", "exponent", "witness_a", "witness_b",
+               "pairs_examined", "mode"], [row], args.out)
 
 
 def _cmd_witness(args):
@@ -224,21 +208,12 @@ def _cmd_witness(args):
         "validated": True,
     }
     if args.full_chain:
-        report["chain"] = [list(S) for S in w.chain]
-    _emit_json(report, args.out)
-    return 0
+        report["chain"] = w.chain
+    return report
 
 
 def _cmd_quasiconvexity(args):
-    space = _load_space(args.space)
-    report = analysis.quasiconvexity_constant(space, args.eps)
-    _emit_json({
-        "constant": report.constant,
-        "connected": report.connected,
-        "eps": report.eps,
-        "witness": list(report.witness) if report.witness else None,
-    }, args.out)
-    return 0
+    return analysis.quasiconvexity_constant(_load_space(args.space), args.eps)
 
 
 def _cmd_transform(args):
@@ -247,35 +222,31 @@ def _cmd_transform(args):
     out_space = transforms.apply_transform(space, T)
     upper = np.triu_indices(len(space.points), 1)
     base = space.dist[upper]
-    report = {
+    return {
         "transform": T.to_json(),
         "space": _space_summary(out_space),
         "doubling_ratio": transforms.transport_constant(T, 2, base),
         "transport_constant": transforms.transport_constant(T, args.L, base),
         "distances": sorted(set(round(float(d), 12) for d in out_space.dist[upper])),
     }
-    _emit_json(report, args.out)
-    return 0
 
 
 def _cmd_ultra_build(args):
     space = as_finite_space(_load_space(args.space))
     check = ultra.validate_ultrametric(space)
-    report = {"is_ultrametric": check.is_ultrametric}
+    report = {"is_ultrametric": check.is_ultrametric, "generic_bound": ultra.GENERIC_BOUND}
     base = space
     if not check.is_ultrametric:
         base = ultra.subdominant_ultrametric(space)
         disc = ultra.disconnection_constant(space)
         report["disconnection_constant"] = disc.constant
-        report["disconnection_witness"] = list(disc.witness) if disc.witness else None
+        report["disconnection_witness"] = disc.witness
     family = ultra.build_centers(base)
-    report["levels"] = list(family.levels)
+    report["levels"] = family.levels
     report["scales"] = [family.scale(k) for k in family.levels]
     report["centers_per_level"] = [
         len(set(family.maps[k].values())) for k in family.levels]
-    report["generic_bound"] = ultra.generic_retract_bound()
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
 _COMMANDS = {
@@ -364,7 +335,10 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
+        if report is not None:
+            _emit_json(report, args.out)
+        return 0
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .metric import (FSet, RealLineSpace, _as_fset, _check_size, get_tolerance,
+from .metric import (FSet, _as_fset, _check_size, get_tolerance,
                      min_separation)
 
 
@@ -253,9 +253,6 @@ class HarmonicSet:
         if self.K < 1:
             raise ValueError("K must be at least 1")
         return [0.0] + [1.0 / k for k in range(self.K, 0, -1)]
-
-    def space(self):
-        return RealLineSpace(self.points())
 
     def contains(self, x, tol=1e-12):
         if x == 0:

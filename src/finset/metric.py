@@ -161,8 +161,9 @@ def _triple_slacks(D, cover):
     n = len(D)
     buf = np.empty((n, n))
     for z in range(n):
-        cover(D[:, z, None], D[z], out=buf)
-        np.subtract(D, buf, out=buf)
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN slack
+            cover(D[:, z, None], D[z], out=buf)
+            np.subtract(D, buf, out=buf)
         yield buf.max(), divmod(int(np.argmax(buf)), n), z
 
 
@@ -408,7 +409,7 @@ def dist_to_lower(A, space, n, mode="within", cap=None):
         raise ValueError("there is no subset space below n=1")
     if mode == "within":
         candidates = space
-        if not space.points:
+        if space is None or not space.points:
             raise ValueError("space lists no points to enumerate")
     elif mode == "ambient":
         if space is not None and not isinstance(space, RealLineSpace):
@@ -425,27 +426,6 @@ def dist_to_lower(A, space, n, mode="within", cap=None):
 def _sort_key(p):
     # deterministic tie-break for heterogeneous point identifiers
     return (type(p).__name__, p) if not isinstance(p, numbers.Real) else ("", p)
-
-
-class Matching:
-    """A bijection between two equal-size point sets, stored as pairs."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        return "Matching(%r)" % (list(self.pairs),)
-
-    def as_dict(self):
-        return dict(self.pairs)
 
 
 def _separated(a_pts, b_pts, space=None):
@@ -492,7 +472,7 @@ def match_bijection(A, B, space=None):
         pairs = tuple((min(a_pts, key=lambda x: (d(x, y), _sort_key(x))), y) for y in b_pts)
         pairs = tuple(sorted(pairs, key=lambda p: _sort_key(p[0])))
     _verify_matching(pairs, a_pts, b_pts, dh, space)
-    return Matching(pairs)
+    return pairs
 
 
 def match_order_preserving(A, B):
@@ -511,7 +491,7 @@ def match_order_preserving(A, B):
             raise MatchingError(
                 "order-preserving pair (%r, %r) displaced beyond the Hausdorff distance"
                 % (a, b))
-    return Matching(pairs)
+    return pairs
 
 
 def _subset_count(num_points, n):

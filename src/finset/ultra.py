@@ -182,18 +182,17 @@ def generic_retract(family, A, n, m):
     raise LevelRangeError("no level in range collapses the set to %d points" % m)
 
 
-def generic_retract_bound(lipschitz=1.0, base=0.5):
-    """Lipschitz bound of generic_retract for a family with the given
-    contraction constant and scale base: 2 L^3 / b + 1."""
-    return 2.0 * lipschitz ** 3 / base + 1.0
+# Lipschitz bound of generic_retract, 2 L^3 / b + 1, at the contraction
+# constant L = 1 and scale base b = 1/2 of every family build_centers makes
+GENERIC_BOUND = 5.0
 
 
 def snowflake_exponent(target_l):
-    """Smallest integer a with 5 ** (1/a) <= target_l (target_l > 1)."""
+    """Smallest integer a with GENERIC_BOUND ** (1/a) <= target_l (target_l > 1)."""
     if target_l <= 1:
         raise ValueError("target constant must exceed 1")
-    a = max(1, math.ceil(math.log(5) / math.log(target_l) - 1e-12))
-    while 5.0 ** (1.0 / a) > target_l * (1 + 1e-12):
+    a = max(1, math.ceil(math.log(GENERIC_BOUND) / math.log(target_l) - 1e-12))
+    while GENERIC_BOUND ** (1.0 / a) > target_l * (1 + 1e-12):
         a += 1
     return a
 
@@ -201,8 +200,8 @@ def snowflake_exponent(target_l):
 @dataclass(frozen=True, eq=False)
 class SnowflakePlan:
     """The metric to the power alpha, still ultrametric, its centers, and the
-    bound 5 ** (1/alpha) <= target that the power takes the generic constant
-    5 to, for ``generic_retract(plan.family, A, n, m)``."""
+    bound GENERIC_BOUND ** (1/alpha) <= target that the power takes the
+    generic constant to, for ``generic_retract(plan.family, A, n, m)``."""
 
     alpha: int
     space: FiniteMetricSpace
@@ -213,9 +212,13 @@ class SnowflakePlan:
 
 def build_snowflake_plan(space, target_l):
     alpha = snowflake_exponent(target_l)
-    powered = FiniteMetricSpace(space.points, space.dist ** alpha)
+    # build_centers checks the strong triangle inequality, which implies the
+    # triangle inequality, as max(a, b) <= fl(a + b) for a, b >= 0; so of the
+    # metric axioms only the pair checks run here
+    powered = FiniteMetricSpace(space.points, space.dist ** alpha, validate=False)
+    powered._check_pairs()
     family = build_centers(powered)
-    return SnowflakePlan(alpha, space, powered, family, 5.0 ** (1.0 / alpha))
+    return SnowflakePlan(alpha, space, powered, family, GENERIC_BOUND ** (1.0 / alpha))
 
 
 def _cophenetic(D):

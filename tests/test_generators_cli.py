@@ -325,7 +325,7 @@ class TestCli:
             "scales": [family.scale(k) for k in family.levels],
             "centers_per_level": [len(set(family.maps[k].values()))
                                   for k in family.levels],
-            "generic_bound": ultra.generic_retract_bound(),
+            "generic_bound": ultra.GENERIC_BOUND,
         }
         assert json.loads(out) == cli._jsonable(expected)
 

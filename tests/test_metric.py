@@ -240,6 +240,10 @@ class TestDistToLower:
         with pytest.raises(EnumerationCapError):
             dist_to_lower(FSet((0.0, 1.0, 2.0, 3.0)), sp, 4, cap=10)
 
+    def test_within_needs_a_space(self):
+        with pytest.raises(ValueError, match="^space lists no points to enumerate$"):
+            dist_to_lower(FSet((0.0, 1.0)), None, 2)
+
 
 class TestMatchings:
     def test_bijection_close_pairs(self):
@@ -247,7 +251,7 @@ class TestMatchings:
         B = FSet((0.1, 9.8, 20.3))
         m = match_bijection(A, B)
         assert max(abs(a - b) for a, b in m) == pytest.approx(hausdorff(A, B), abs=1e-12)
-        assert sorted(b for _, b in m.pairs) == sorted(B)
+        assert sorted(b for _, b in m) == sorted(B)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -262,7 +266,7 @@ class TestMatchings:
         A = FSet((0.0, 10.0))
         B = FSet((0.2, 10.1))
         m = match_order_preserving(A, B)
-        assert m.as_dict() == {0.0: 0.2, 10.0: 10.1}
+        assert dict(m) == {0.0: 0.2, 10.0: 10.1}
 
 
 class TestSpaces:
@@ -368,6 +372,13 @@ def test_one_global_tolerance_and_no_dead_knobs():
         assert "validate" not in params[name]
     from finset import CenterFamily
     assert [f.name for f in dataclasses.fields(CenterFamily)] == ["levels", "maps"]
+    # no pure wrapper, uncalled method or unset parameter; the generic
+    # Lipschitz bound is one constant
+    import finset
+    assert {"Matching", "generic_retract_bound"}.isdisjoint(finset.__all__)
+    assert not hasattr(finset.HarmonicSet, "space")
+    assert "D" not in params["split_gh"]
+    assert finset.GENERIC_BOUND == 5.0
 
 
 def test_tolerance_moves_the_verdicts(monkeypatch):
@@ -452,8 +463,7 @@ def test_non_finite_distances_fail_both_checks():
         with pytest.raises(ValueError, match="^non-finite distance %s$" % named):
             FiniteMetricSpace(["a", "b", "c"], D)
         space = FiniteMetricSpace(["a", "b", "c"], D, validate=False)
-        with np.errstate(invalid="ignore"):
-            report = validate_ultrametric(space)
+        report = validate_ultrametric(space)
         assert (report.is_ultrametric, math.isnan(report.violation), report.worst_triple) == (
             False, True, triple)
 

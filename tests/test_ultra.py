@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from finset import (
+    GENERIC_BOUND,
     CenterFamily,
     FSet,
     FiniteMetricSpace,
@@ -19,7 +20,6 @@ from finset import (
     disconnection_constant,
     enumerate_fsets,
     generic_retract,
-    generic_retract_bound,
     snowflake_exponent,
     subdominant_ultrametric,
     validate_ultrametric,
@@ -203,8 +203,8 @@ class TestGenericRetract:
             generic_retract(fam, FSet((0.0, 0.125)), 1, 1)
 
     def test_default_bound(self):
-        assert generic_retract_bound() == 5.0
-        assert generic_retract_bound(lipschitz=2.0, base=0.5) == 33.0
+        # 2 L^3 / b + 1 at the contraction constant 1 and scale base 1/2
+        assert GENERIC_BOUND == 2 * 1.0 ** 3 / 0.5 + 1 == 5.0
 
 
 def reference_generic_retract(family, A, n, m):
@@ -271,6 +271,13 @@ class TestSnowflake:
         assert plan.alpha == 8
         assert plan.constant_bound <= 1.25
         assert np.allclose(plan.powered.dist, sp.dist ** 8)
+
+    def test_power_of_a_non_ultrametric_fails_the_strong_triangle_check(self):
+        # 0, 1, 2 to the power 8 breaks the triangle inequality as well; only
+        # the strong one is checked
+        sp = FiniteMetricSpace.from_coords([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="^space is not ultrametric; "):
+            build_snowflake_plan(sp, 1.25)
 
     def test_powered_space_is_ultrametric(self):
         sp = dendrogram_space(random_dendrogram(8, seed=1))
