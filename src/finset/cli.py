@@ -19,7 +19,6 @@ from . import analysis, generators, line, transforms, ultra
 from .metric import (
     DEFAULT_ENUMERATION_CAP,
     FSet,
-    FiniteMetricSpace,
     RealLineSpace,
     as_finite_space,
     hausdorff,
@@ -141,9 +140,6 @@ def _cmd_validate(args):
     space = _load_space(args.space)
     report = {"space": _space_summary(space), "valid": True}
     if not isinstance(space, line.IntervalUnion):
-        # line spaces are valid by construction; explicit matrices get rechecked
-        if isinstance(space, FiniteMetricSpace):
-            space.validate()
         check = ultra.validate_ultrametric(space)
         report.update(is_ultrametric=check.is_ultrametric,
                       ultrametric_slack=check.violation,
@@ -217,7 +213,7 @@ def _cmd_quasiconvexity(args):
 
 
 def _cmd_transform(args):
-    space = as_finite_space(_load_space(args.space), validate=False)
+    space = as_finite_space(_load_space(args.space))
     T = transforms.MetricTransform.from_json(_load_spec(args.transform))
     out_space = transforms.apply_transform(space, T)
     upper = np.triu_indices(len(space.points), 1)

@@ -151,8 +151,8 @@ class RealLineSpace:
 
 def _triple_slacks(D, cover):
     """Per pivot z in order, ``(peak, (i, j), z)``: the largest slack
-    D[i, j] - cover(D[i, z], D[z, j]), NaN if any slack is, and its first
-    (i, j) in row-major order, as ``np.argmax`` finds it (the first NaN).
+    D[i, j] - cover(D[i, z], D[z, j]) and its first (i, j) in row-major
+    order, as ``np.argmax`` finds it.
 
     ``cover`` is ``np.add`` for the triangle inequality, ``np.maximum`` for
     the strong one.  One n x n buffer, rewritten whole at every pivot, takes
@@ -161,14 +161,17 @@ def _triple_slacks(D, cover):
     n = len(D)
     buf = np.empty((n, n))
     for z in range(n):
-        with np.errstate(invalid="ignore"):  # inf - inf is a NaN slack
-            cover(D[:, z, None], D[z], out=buf)
-            np.subtract(D, buf, out=buf)
+        cover(D[:, z, None], D[z], out=buf)
+        np.subtract(D, buf, out=buf)
         yield buf.max(), divmod(int(np.argmax(buf)), n), z
 
 
 class FiniteMetricSpace:
-    """A finite point set with an explicit symmetric distance matrix."""
+    """A finite point set with an explicit symmetric distance matrix.
+
+    Every construction runs the O(n^2) pair checks of ``_check_pairs``;
+    ``validate``, on by default, adds the O(n^3) triangle scan ``validate()``.
+    """
 
     kind = "finite"
 
@@ -182,6 +185,7 @@ class FiniteMetricSpace:
         self._index = {p: i for i, p in enumerate(self.points)}
         if len(self._index) != n:
             raise ValueError("point identifiers must be distinct")
+        self._check_pairs()
         if validate:
             self.validate()
 
@@ -230,9 +234,8 @@ class FiniteMetricSpace:
                                  % (self.points[i], self.points[j]))
 
     def validate(self):
-        """Check the metric axioms within ``get_tolerance()``; raises ValueError
-        naming the first pivot whose worst triangle slack exceeds it."""
-        self._check_pairs()
+        """Scan the triangle inequality within ``get_tolerance()``; raises
+        ValueError naming the first pivot whose worst slack exceeds it."""
         tol = get_tolerance()
         for worst, (i, j), k in _triple_slacks(self.dist, np.add):
             if worst > tol:
@@ -241,15 +244,17 @@ class FiniteMetricSpace:
                     % (worst, self.points[i], self.points[k], self.points[j]))
 
     @classmethod
-    def from_coords(cls, coords, validate=True):
-        """Euclidean space on explicit coordinates (scalars or tuples)."""
+    def from_coords(cls, coords):
+        """Euclidean space on explicit coordinates (scalars or tuples), with the
+        pair checks only: Euclidean distances of finite coordinates are a metric,
+        exactly symmetric, so the triangle scan could only fail on rounding."""
         arr = np.asarray([c if isinstance(c, (tuple, list)) else (c,) for c in coords],
                          dtype=float)
         diff = arr[:, None, :] - arr[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         points = [tuple(float(x) for x in row) if row.size > 1 else float(row[0])
                   for row in arr]
-        return cls(points, dist, validate=validate)
+        return cls(points, dist, validate=False)
 
     def to_json(self):
         return {
@@ -259,13 +264,13 @@ class FiniteMetricSpace:
         }
 
 
-def as_finite_space(space, validate=True):
+def as_finite_space(space):
     """Materialize a space as a FiniteMetricSpace on its listed points.
 
     Takes a FiniteMetricSpace (returned as is), a space with listed
-    ``points``, or a plain sequence of coordinates.  Tuple points get
-    Euclidean distances; scalar points lie on the line at distance exactly
-    ``|x - y|``.
+    ``points``, or a plain sequence of coordinates.  Tuple points go
+    through ``from_coords``; scalar points lie on the line at distance
+    exactly ``|x - y|``, which is a metric too, so only the pair checks run.
     """
     if isinstance(space, FiniteMetricSpace):
         return space
@@ -273,10 +278,10 @@ def as_finite_space(space, validate=True):
     if not coords:
         raise ValueError("space has no listed points")
     if any(isinstance(c, (tuple, list)) for c in coords):
-        return FiniteMetricSpace.from_coords(coords, validate=validate)
+        return FiniteMetricSpace.from_coords(coords)
     pts = [float(p) for p in coords]
     arr = np.asarray(pts)
-    return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=validate)
+    return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=False)
 
 
 def space_from_json(data):

@@ -112,7 +112,8 @@ def transport_constant(transform, L, distances):
 
 def rescale(space, eps):
     """Multiply every distance by eps > 0; Lipschitz constants of maps are
-    unchanged when both sides are rescaled together."""
+    unchanged when both sides are rescaled together.  A distance that
+    underflows to 0 fails the pair checks."""
     if not eps > 0:
         raise ValueError("scale factor must be positive")
     space = as_finite_space(space)

@@ -34,11 +34,10 @@ def validate_ultrametric(space):
     most ``get_tolerance()``.  An exact ultrametric is accepted by comparing
     the matrix with its single-linkage cophenetic matrix; any other matrix
     gets the O(n^3) scan of ``_triple_slacks``, which names the first worst
-    triple: the earliest pivot, then row-major order.  A NaN slack, as a
-    NaN or infinite distance gives, is the worst and fails the check.
+    triple: the earliest pivot, then row-major order.
     """
     tol = get_tolerance()
-    space = as_finite_space(space, validate=False)
+    space = as_finite_space(space)
     D = space.dist
     n = len(space.points)
     if n < 3:
@@ -46,16 +45,14 @@ def validate_ultrametric(space):
     # a matrix is ultrametric exactly when it is its own single-linkage
     # cophenetic matrix, which takes only max and min of its entries; then
     # the worst slack is the 0 of the first triple (p0, p0, p0)
-    if ((D >= 0) & (D < math.inf)).all() and np.array_equal(D, _cophenetic(D)):
+    if np.array_equal(D, _cophenetic(D)):
         p0 = space.points[0]
         return UltraCheckReport(0.0 <= tol, 0.0, (p0, p0, p0))
     worst, arg = -math.inf, None
     for peak, (i, j), z in _triple_slacks(D, np.maximum):
-        if not peak <= worst:
+        if peak > worst:
             worst = float(peak)
             arg = (space.points[i], space.points[j], space.points[z])
-            if math.isnan(worst):
-                break
     return UltraCheckReport(worst <= tol, worst, arg)
 
 
@@ -84,7 +81,7 @@ def _auto_levels(space):
 def _matrix(space):
     """The distance matrix of a space and the row of each of its points,
     keyed by the original identifiers (exact line points included)."""
-    return (as_finite_space(space, validate=False).dist,
+    return (as_finite_space(space).dist,
             {p: i for i, p in enumerate(space.points)})
 
 
@@ -213,10 +210,8 @@ class SnowflakePlan:
 def build_snowflake_plan(space, target_l):
     alpha = snowflake_exponent(target_l)
     # build_centers checks the strong triangle inequality, which implies the
-    # triangle inequality, as max(a, b) <= fl(a + b) for a, b >= 0; so of the
-    # metric axioms only the pair checks run here
+    # triangle inequality, as max(a, b) <= fl(a + b) for a, b >= 0
     powered = FiniteMetricSpace(space.points, space.dist ** alpha, validate=False)
-    powered._check_pairs()
     family = build_centers(powered)
     return SnowflakePlan(alpha, space, powered, family, GENERIC_BOUND ** (1.0 / alpha))
 
@@ -239,11 +234,9 @@ def subdominant_ultrametric(space):
     """Largest ultrametric below the metric: the minimax chain distance,
     which is the cophenetic distance of single linkage.  Its triangle
     inequality holds by construction, as max(a, b) <= fl(a + b) for a, b >= 0,
-    so of the metric axioms only the pair checks run."""
-    space = as_finite_space(space, validate=False)
-    sub = FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=False)
-    sub._check_pairs()
-    return sub
+    so it is not scanned."""
+    space = as_finite_space(space)
+    return FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=False)
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ def disconnection_constant(space):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    space = as_finite_space(space, validate=False)
+    space = as_finite_space(space)
     n = len(space.points)
     if n < 2:
         return DisconnectionReport(1.0, None, tuple(space.points))

@@ -21,13 +21,34 @@ def brute_minimax(D, i, j):
     return best
 
 
+def reference_pair_checks(points, D):
+    """The pair step of ``FiniteMetricSpace.validate`` before the triangle
+    scan, on a bare matrix: raises ValueError with its message."""
+    tol = get_tolerance()
+    n = len(points)
+    finite = np.isfinite(D)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), n)
+        raise ValueError("non-finite distance %r between %r, %r"
+                         % (float(D[i, j]), points[i], points[j]))
+    if np.abs(np.diag(D)).max(initial=0.0) > tol:
+        raise ValueError("nonzero diagonal entry in distance matrix")
+    if n and np.abs(D - D.T).max() > tol:
+        raise ValueError("distance matrix is not symmetric")
+    if n > 1:
+        off = np.where(np.eye(n, dtype=bool), np.inf, D)
+        if off.min() <= 0:
+            i, j = divmod(int(np.argmin(off)), n)
+            raise ValueError("non-positive distance between distinct points %r, %r"
+                             % (points[i], points[j]))
+
+
 def strong_triangle(space):
     """Reference strong-triangle check as (passes, worst slack, triple).
 
     Every triple (x, y, z) in the order pivot z, then x, then y; the worst
-    slack d(x, y) - max(d(x, z), d(z, y)) is the first largest, a NaN slack
-    outranking every number.  Fewer than three points pass with slack 0 and
-    no triple.
+    slack d(x, y) - max(d(x, z), d(z, y)) is the first largest.  Fewer than
+    three points pass with slack 0 and no triple.
     """
     D, pts = space.dist, space.points
     if len(pts) < 3:
@@ -35,8 +56,6 @@ def strong_triangle(space):
     worst, arg = -math.inf, None
     for z, i, j in itertools.product(range(len(pts)), repeat=3):
         slack = float(D[i, j] - np.maximum(D[i, z], D[z, j]))
-        if math.isnan(slack):
-            return (False, slack, (pts[i], pts[j], pts[z]))
         if slack > worst:
             worst, arg = slack, (pts[i], pts[j], pts[z])
     return (worst <= get_tolerance(), worst, arg)

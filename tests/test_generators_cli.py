@@ -164,6 +164,31 @@ class TestCli:
         assert code == 0
         assert not json.loads(out)["is_ultrametric"]
 
+    def test_validate_scans_only_explicit_matrices(self, capsys, monkeypatch):
+        # coordinates are a metric by proof; an explicit matrix is scanned once
+        calls = []
+        scan = FiniteMetricSpace.validate
+        monkeypatch.setattr(FiniteMetricSpace, "validate",
+                            lambda space: calls.append(len(space)) or scan(space))
+        grid = [[x, y] for x in range(20) for y in range(20)]
+        finite = {"kind": "finite", "points": ["a", "b", "c"],
+                  "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        for spec, scans in (({"kind": "finite", "points": grid}, []), (finite, [3])):
+            code, out, _ = run_cli(capsys, ["validate", "--space", json.dumps(spec)])
+            assert code == 0 and json.loads(out)["valid"] is True
+            assert calls == scans
+            calls.clear()
+
+    def test_ultra_build_on_rounded_line_distances(self, capsys):
+        # the float distances of these points miss the triangle inequality
+        # by 3.73e-09; as line points they are a metric by proof
+        spec = '{"kind": "line", "points": [1683698.9, 12782720.4, 26100304.7]}'
+        code, out, err = run_cli(capsys, ["ultra-build", "--space", spec])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["is_ultrametric"] is False
+        assert report["centers_per_level"] == [1, 1, 3, 3]
+
     def test_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, [
             "hausdorff", "--a", "[0, 2]", "--b", "[0, 1, 2]"])

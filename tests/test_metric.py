@@ -28,7 +28,7 @@ from finset import (
 )
 from finset.metric import as_finite_space
 
-from brute import strong_triangle
+from brute import reference_pair_checks, strong_triangle
 
 
 def brute_hausdorff(A, B, d=None):
@@ -300,6 +300,21 @@ class TestSpaces:
         with pytest.raises(ValueError, match="no listed points"):
             as_finite_space(RealLineSpace([]))
 
+    def test_coordinates_build_without_the_triangle_scan(self):
+        # collinear points whose float distances miss the triangle inequality
+        # by 3.73e-09, above the default tolerance: rounding that the scan
+        # of an explicit matrix reports, and coordinates never see
+        from finset import quasiconvexity_constant
+        pts = [1683698.9, 12782720.4, 26100304.7]
+        D = np.abs(np.subtract.outer(pts, pts))
+        with pytest.raises(ValueError, match="^triangle inequality fails by 3.73e-09 "):
+            FiniteMetricSpace(pts, D)
+        for source in (RealLineSpace(pts), [(p, 0.0) for p in pts]):
+            assert np.array_equal(as_finite_space(source).dist, D)
+        report = quasiconvexity_constant(RealLineSpace(pts), 2e7)
+        assert report.connected and report.witness == (pts[0], pts[1])
+        assert report.constant == pytest.approx(1.0)
+
     def test_line_space_sorts_and_rejects_duplicates(self):
         assert RealLineSpace([1.0, 0.0]).points == [0.0, 1.0]
         with pytest.raises(ValueError):
@@ -368,8 +383,10 @@ def test_one_global_tolerance_and_no_dead_knobs():
     assert with_tol == {"FSet", "FSet.approx_equal", "IntervalUnion.locate",
                         "IntervalUnion.contains", "HarmonicSet.contains"}
     params = dict(_public_signatures())
-    for name in ("subdominant_ultrametric", "disconnection_constant"):
+    for name in ("subdominant_ultrametric", "disconnection_constant",
+                 "FiniteMetricSpace.from_coords"):
         assert "validate" not in params[name]
+    assert "validate" not in inspect.signature(as_finite_space).parameters
     from finset import CenterFamily
     assert [f.name for f in dataclasses.fields(CenterFamily)] == ["levels", "maps"]
     # no pure wrapper, uncalled method or unset parameter; the generic
@@ -404,20 +421,28 @@ def test_tolerance_moves_the_verdicts(monkeypatch):
     assert verdicts() == [False, False, False]
 
 
-def reference_validate(space):
-    # FiniteMetricSpace.validate before the shared triple scan: two fresh
-    # n x n arrays per pivot, argmax only at the failing pivot
-    space._check_pairs()
+def reference_validate(points, D):
+    # FiniteMetricSpace.validate before the shared triple scan: the pair
+    # step, then two fresh n x n arrays per pivot, argmax only at the
+    # failing pivot
+    reference_pair_checks(points, D)
     tol = get_tolerance()
-    D = space.dist
-    for k in range(len(space.points)):
+    for k in range(len(points)):
         slack = D - (D[:, k][:, None] + D[k, :][None, :])
         worst = slack.max()
         if worst > tol:
             i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
             raise ValueError(
                 "triangle inequality fails by %.3g on (%r, %r, %r)"
-                % (worst, space.points[i], space.points[k], space.points[j]))
+                % (worst, points[i], points[k], points[j]))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _slack_matrices():
@@ -452,45 +477,42 @@ def _slack_matrices():
 
 
 def test_non_finite_distances_fail_both_checks():
-    # validate names the first non-finite entry; the ultrametric check ranks
-    # the first NaN slack worst instead of skipping it
-    from finset import validate_ultrametric
+    # every construction names the first non-finite entry, with or without
+    # the triangle scan, so no check downstream ever sees one
     nan, inf = math.nan, math.inf
-    cases = [([[0, nan, 1], [nan, 0, 1], [1, 1, 0]], "nan between 'a', 'b'", ("a", "b", "a")),
-             ([[nan, 5, 1], [5, 0, 1], [1, 1, 0]], "nan between 'a', 'a'", ("a", "a", "a")),
-             ([[0, 1, inf], [1, 0, 1], [inf, 1, 0]], "inf between 'a', 'c'", ("a", "c", "a"))]
-    for D, named, triple in cases:
-        with pytest.raises(ValueError, match="^non-finite distance %s$" % named):
-            FiniteMetricSpace(["a", "b", "c"], D)
-        space = FiniteMetricSpace(["a", "b", "c"], D, validate=False)
-        report = validate_ultrametric(space)
-        assert (report.is_ultrametric, math.isnan(report.violation), report.worst_triple) == (
-            False, True, triple)
+    cases = [([[0, nan, 1], [nan, 0, 1], [1, 1, 0]], "nan between 'a', 'b'"),
+             ([[nan, 5, 1], [5, 0, 1], [1, 1, 0]], "nan between 'a', 'a'"),
+             ([[0, 1, inf], [1, 0, 1], [inf, 1, 0]], "inf between 'a', 'c'")]
+    for D, named in cases:
+        message = "non-finite distance %s" % named
+        assert _outcome(reference_pair_checks, ["a", "b", "c"], np.array(D, float)) == message
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                FiniteMetricSpace(["a", "b", "c"], D, validate=validate)
 
 
 def test_triple_scan_matches_the_per_pivot_loops():
-    # the first failing pivot and its row-major triple in the validate
-    # message, and the whole validate_ultrametric report, as before
+    # the pair-check or first failing pivot message of construction, and the
+    # whole validate_ultrametric report of every matrix that builds, as before
     from finset import validate_ultrametric
-    several = 0
+    several = rejected = 0
     for D in _slack_matrices():
         points = ["p%d" % i for i in range(len(D))]
+        pair_step = _outcome(reference_pair_checks, points, D)
+        expected = _outcome(reference_validate, points, D)
+        assert _outcome(FiniteMetricSpace, points, D) == expected, D
+        assert _outcome(FiniteMetricSpace, points, D, False) == pair_step, D
+        if pair_step is not None:
+            rejected += 1
+            continue
         space = FiniteMetricSpace(points, D, validate=False)
-        outcomes = []
-        for check in (FiniteMetricSpace.validate, reference_validate):
-            try:
-                with np.errstate(invalid="ignore"):
-                    check(space)
-                outcomes.append(None)
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], D
-        with np.errstate(invalid="ignore"):
-            report = validate_ultrametric(space)
-            ok, worst, triple = strong_triangle(space)
-            reference = (ok, repr(worst), triple)
-            fails = [(D - (D[:, k, None] + D[k])).max() > get_tolerance() for k in range(len(D))]
-        assert (report.is_ultrametric, repr(report.violation), report.worst_triple) == reference, D
+        report = validate_ultrametric(space)
+        ok, worst, triple = strong_triangle(space)
+        assert (report.is_ultrametric, repr(report.violation), report.worst_triple) == (
+            ok, repr(worst), triple), D
+        fails = [(D - (D[:, k, None] + D[k])).max() > get_tolerance() for k in range(len(D))]
         several += sum(fails) > 1
-    # most integer matrices fail the triangle inequality at several pivots
-    assert several > 30
+    # the zero, asymmetric and spiked matrices fail the pair checks; most
+    # integer matrices fail the triangle inequality at several pivots
+    assert rejected > 80
+    assert several > 20

@@ -101,6 +101,10 @@ class TestRescale:
         for eps in (0.0, -1.0):
             with pytest.raises(ValueError):
                 rescale(RealLineSpace([0.0, 1.0]), eps)
+        # a distance that underflows to 0 fails the pair checks
+        with pytest.raises(ValueError,
+                           match="^non-positive distance between distinct points 0.0, 0.4$"):
+            rescale(RealLineSpace([0.0, 0.4]), 5e-324)
 
     def test_lipschitz_constant_invariant(self):
         sp = RealLineSpace([0.0, 0.3, 1.0, 2.0])

@@ -27,7 +27,7 @@ from finset import (
 )
 from finset.generators import cantor_space, dendrogram_space, random_dendrogram
 
-from brute import brute_minimax, strong_triangle
+from brute import brute_minimax, reference_pair_checks, strong_triangle
 
 
 def lattice_cloud():
@@ -321,26 +321,29 @@ class TestSubdominant:
         assert np.allclose(rho.dist, sp.dist)
 
 
+def assert_pair_checks_reject(D, message):
+    # the construction, with or without the triangle scan, raises the
+    # message of the reference pair step
+    points = ["a", "b", "c", "d"]
+    with pytest.raises(ValueError, match="^%s$" % message):
+        reference_pair_checks(points, D)
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            FiniteMetricSpace(points, D, validate=validate)
+
+
 def test_subdominant_keeps_the_pair_checks():
-    # distinct points at distance 0 stay at 0 under single linkage
+    # distinct points at distance 0 would stay at 0 under single linkage;
+    # no such matrix reaches subdominant_ultrametric or disconnection_constant
     D = np.array([[0, 0, 2, 2], [0, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0.]])
-    space = FiniteMetricSpace(["a", "b", "c", "d"], D, validate=False)
-    for f in (subdominant_ultrametric, disconnection_constant):
-        with pytest.raises(ValueError,
-                           match="non-positive distance between distinct points 'a', 'b'"):
-            f(space)
+    assert_pair_checks_reject(D, "non-positive distance between distinct points 'a', 'b'")
 
 
 @pytest.mark.filterwarnings("error")
 def test_pair_checks_name_the_pair_at_distance_zero():
     # the only zero lies between c and d, after the first two points
     D = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 0], [2, 2, 0, 0.]])
-    space = FiniteMetricSpace(["a", "b", "c", "d"], D, validate=False)
-    for f in (subdominant_ultrametric, disconnection_constant,
-              FiniteMetricSpace.validate):
-        with pytest.raises(ValueError,
-                           match="non-positive distance between distinct points 'c', 'd'"):
-            f(space)
+    assert_pair_checks_reject(D, "non-positive distance between distinct points 'c', 'd'")
 
 
 class TestDisconnection:
