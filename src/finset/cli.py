@@ -29,6 +29,8 @@ from .metric import (
 # grid points per interval when an interval union is searched as a domain
 _PER_INTERVAL = 4
 
+_MAPS = ("line", "median", "delete-min", "interval-union", "generic", "snowflake")
+
 
 def _load_spec(text):
     text = text.strip()
@@ -99,10 +101,9 @@ def _emit_csv(header, rows, out):
 
 
 def _space_summary(space):
-    if isinstance(space, line.IntervalUnion):
-        return {"kind": "interval_union",
-                "intervals": [list(iv) for iv in space.intervals]}
     data = space.to_json()
+    if isinstance(space, line.IntervalUnion):
+        return data
     data["size"] = len(space.points)
     data.pop("dist", None)
     data["diameter"] = space.diameter()
@@ -114,20 +115,20 @@ def _retraction(name, space, n, m, target_l):
         return lambda A: line.line_retract(A, n)
     if name == "median":
         return lambda A: line.median_retract(A, n)
-    if name in ("delete-min", "delete_min"):
+    if name == "delete-min":
         return lambda A: line.delete_min_retract(A, n)
-    if name in ("interval-union", "interval_union"):
+    if name == "interval-union":
         if not isinstance(space, line.IntervalUnion):
             raise ValueError("interval-union retraction needs an interval_union space")
         expansion = line.build_gap_expansion(space, n)
         return lambda A: line.interval_union_retract(space, A, n, expansion=expansion)
-    if name in ("ultra", "generic"):
+    if name == "generic":
         family = ultra.build_centers(space)
         return lambda A: ultra.generic_retract(family, A, n, m)
     if name == "snowflake":
         plan = ultra.build_snowflake_plan(space, target_l)
         return lambda A: ultra.generic_retract(plan.family, A, n, m)
-    raise ValueError("unknown retraction %r" % (name,))
+    raise ValueError("unknown retraction %r; accepted: %s" % (name, ", ".join(_MAPS)))
 
 
 def _domain_space(space):
@@ -263,15 +264,14 @@ def build_parser():
         description="Retractions of finite subset spaces and their constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space_required=True):
-        p.add_argument("--space", required=space_required,
-                       help="generator spec: inline JSON or a path to a JSON file")
+    def common(p, space=None):
+        if space:
+            p.add_argument("--space", required=space == "required",
+                           help="generator spec: inline JSON or a path to a JSON file")
         p.add_argument("--out", help="write the report here instead of stdout")
 
     def retraction(p):
-        p.add_argument("--map", required=True,
-                       help="retraction: line, median, delete-min, interval-union, "
-                            "generic (or ultra), snowflake")
+        p.add_argument("--map", required=True, help="retraction: " + ", ".join(_MAPS))
         p.add_argument("--n", type=int, required=True,
                        help="the map's domain is X(n), the sets of at most n points")
         p.add_argument("--m", type=int,
@@ -279,24 +279,25 @@ def build_parser():
         p.add_argument("--target-l", type=float, default=1.25,
                        help="Lipschitz target of the snowflake map")
 
-    common(sub.add_parser("validate", help="check metric and ultrametric axioms"))
+    common(sub.add_parser("validate", help="check metric and ultrametric axioms"),
+           space="required")
 
     p = sub.add_parser("hausdorff", help="Hausdorff distance between two sets")
-    common(p, space_required=False)
+    common(p, space="optional")
     p.add_argument("--a", required=True, help="first set as a JSON list")
     p.add_argument("--b", required=True, help="second set as a JSON list")
 
     p = sub.add_parser("retract", help="apply a named retraction to one set")
-    common(p, space_required=False)
+    common(p, space="optional")
     retraction(p)
     p.add_argument("--set", required=True, help="input set as a JSON list")
 
     p = sub.add_parser("estimate-lip", help="estimate a Lipschitz or Hoelder constant")
-    common(p)
+    common(p, space="required")
     retraction(p)
     p.add_argument("--exponent", type=float, default=1.0,
                    help="Hoelder exponent in (0, 1]; 1 gives a Lipschitz constant")
-    p.add_argument("--budget", type=int, default=20000,
+    p.add_argument("--budget", type=int, default=analysis._PAIR_BUDGET,
                    help="pairs a sampled search may score")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="largest X(n) searched exhaustively; above it the "
@@ -305,25 +306,25 @@ def build_parser():
                    help="seed of the sampled search")
 
     p = sub.add_parser("witness", help="exact chain witness against Lipschitz deletion")
-    common(p, space_required=False)
+    common(p)
     p.add_argument("--L", required=True, help="Lipschitz bound to defeat, e.g. 1 or 3/2")
     p.add_argument("--full-chain", action="store_true",
                    help="list every set of the chain in the report")
 
     p = sub.add_parser("quasiconvexity", help="shortest-path to distance ratio")
-    common(p)
+    common(p, space="required")
     p.add_argument("--eps", type=float, required=True,
                    help="neighbor radius: the graph joins points at most eps apart")
 
     p = sub.add_parser("transform", help="rewrite distances through a transform")
-    common(p)
+    common(p, space="required")
     p.add_argument("--transform", required=True,
                    help="transform spec: inline JSON or a path")
     p.add_argument("--L", type=float, default=1.0,
                    help="Lipschitz constant to transport through the transform")
 
-    common(sub.add_parser("ultra-build",
-                          help="center family of an ultrametric space"))
+    common(sub.add_parser("ultra-build", help="center family of an ultrametric space"),
+           space="required")
     return parser
 
 

@@ -5,19 +5,20 @@ ultrametrics, plus the JSON spec dispatcher used by the command line.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
 import numpy as np
 
 from .line import HarmonicSet, IntervalUnion
-from .metric import FiniteMetricSpace, RealLineSpace, space_from_json
+from .metric import FiniteMetricSpace, RealLineSpace, _check_spec_keys, space_from_json
 from .transforms import product_space
 
 
 def harmonic_space(K):
     """{0} ∪ {1/k : 1 ≤ k ≤ K} on the real line."""
-    return RealLineSpace(HarmonicSet(K).points())
+    return RealLineSpace(HarmonicSet(int(K)).points())
 
 
 def cantor_points(ratio=1.0 / 3.0, depth=2):
@@ -43,14 +44,15 @@ def cantor_points(ratio=1.0 / 3.0, depth=2):
 
 
 def cantor_space(ratio=1.0 / 3.0, depth=2):
-    return RealLineSpace(cantor_points(ratio, depth))
+    return RealLineSpace(cantor_points(float(ratio), int(depth)))
 
 
-def snowflake_interval(alpha, per_side):
+def snowflake_interval(alpha=0.5, per_side=9):
     """Uniform grid on [0, 1] with the snowflaked metric |x - y|^alpha.
 
     alpha = 1 gives the plain grid.
     """
+    alpha, per_side = float(alpha), int(per_side)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if per_side < 2:
@@ -61,27 +63,29 @@ def snowflake_interval(alpha, per_side):
     return FiniteMetricSpace(points, D, validate=False)
 
 
-def parabola_space(T, N):
+def parabola_space(T=1.0, N=17):
     """N evenly spaced samples of {(x, x²) : |x| ≤ T} with planar distances."""
+    T, N = float(T), int(N)
     if T <= 0 or N < 2:
         raise ValueError("need T > 0 and at least 2 samples")
-    xs = np.linspace(-float(T), float(T), int(N))
+    xs = np.linspace(-T, T, N)
     return FiniteMetricSpace.from_coords([(float(x), float(x) ** 2) for x in xs])
 
 
-def lattice_lines_space(window, step):
+def lattice_lines_space(window=2.0, step=0.5):
     """Euclidean samples of ℝ × ℤ: horizontal lines at integer heights,
     discretized at the given step over [-window, window]."""
+    window, step = float(window), float(step)
     if window <= 0 or step <= 0:
         raise ValueError("window and step must be positive")
     num = int(round(2 * window / step)) + 1
-    xs = np.linspace(-float(window), float(window), num)
+    xs = np.linspace(-window, window, num)
     ys = range(-math.floor(window), math.floor(window) + 1)
     return FiniteMetricSpace.from_coords(
         [(float(x), float(y)) for y in ys for x in xs])
 
 
-def rickman_rug(per_side, alpha=0.5):
+def rickman_rug(per_side=9, alpha=0.5):
     """Product of a grid interval with a snowflaked grid interval under the
     max metric; the standard fractal surface."""
     plain = snowflake_interval(1.0, per_side)
@@ -148,42 +152,36 @@ def random_dendrogram(num_leaves, seed=0):
     return forest[0]
 
 
-def generate(spec):
-    """Build the space described by a generator spec dict.
+def _dendrogram(tree=None, leaves=None, seed=None):
+    """The "dendrogram" kind: an explicit merge ``tree``, or a
+    ``random_dendrogram`` of ``leaves`` leaves, from ``seed`` if given."""
+    if (tree is None) == (leaves is None) or seed is not None and leaves is None:
+        raise ValueError('a dendrogram spec takes "tree", or "leaves" and an optional "seed"')
+    if tree is None:
+        tree = random_dendrogram(int(leaves), *(() if seed is None else (int(seed),)))
+    return dendrogram_space(tree)
 
-    Kinds: harmonic, cantor, snowflake, parabola, lattice_lines, rug,
-    dendrogram (explicit tree or random via leaves/seed), interval_union,
-    product (nested specs), and the raw line/finite forms.
-    """
+
+# kind -> generator function; a spec's keys other than "kind" are its parameters
+_KINDS = {
+    "harmonic": harmonic_space,
+    "cantor": cantor_space,
+    "snowflake": snowflake_interval,
+    "parabola": parabola_space,
+    "lattice_lines": lattice_lines_space,
+    "rug": rickman_rug,
+    "dendrogram": _dendrogram,
+    "interval_union": lambda intervals: IntervalUnion(tuple(tuple(p) for p in intervals)),
+    "product": lambda x, y: product_space(generate(x), generate(y)),
+}
+
+
+def generate(spec):
+    """Build the space a generator spec dict describes: a kind of ``_KINDS``
+    through its function, any other kind through ``space_from_json``.  A key
+    the kind does not read raises ValueError."""
     kind = spec.get("kind")
-    if kind == "harmonic":
-        return harmonic_space(int(spec["K"]))
-    if kind == "cantor":
-        return cantor_space(float(spec.get("ratio", 1.0 / 3.0)),
-                            int(spec.get("depth", 2)))
-    if kind == "snowflake":
-        return snowflake_interval(float(spec.get("alpha", 0.5)),
-                                  int(spec.get("per_side", 9)))
-    if kind == "parabola":
-        return parabola_space(float(spec.get("T", 1.0)), int(spec.get("N", 17)))
-    if kind == "lattice_lines":
-        return lattice_lines_space(float(spec.get("window", 2.0)),
-                                   float(spec.get("step", 0.5)))
-    if kind == "rug":
-        return rickman_rug(int(spec.get("per_side", 9)),
-                           float(spec.get("alpha", 0.5)))
-    if kind == "dendrogram":
-        tree = spec.get("tree")
-        if tree is None:
-            tree = random_dendrogram(int(spec["leaves"]), int(spec.get("seed", 0)))
-        return dendrogram_space(tree)
-    if kind == "interval_union":
-        return IntervalUnion(tuple(tuple(p) for p in spec["intervals"]))
-    if kind == "product":
-        return product_space(generate(spec["x"]), generate(spec["y"]))
-    if kind in ("line", "finite", "explicit"):
-        data = dict(spec)
-        if kind == "explicit":
-            data["kind"] = "finite"
-        return space_from_json(data)
-    raise ValueError("unknown space kind %r" % (kind,))
+    if kind not in _KINDS:
+        return space_from_json(spec)
+    _check_spec_keys(spec, kind, inspect.signature(_KINDS[kind]).parameters)
+    return _KINDS[kind](**{k: v for k, v in spec.items() if k != "kind"})

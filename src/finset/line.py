@@ -118,7 +118,7 @@ class IntervalUnion:
                 return r0 if x - r0 <= l1 - x else l1
         return x
 
-    def discretize(self, per_interval=3):
+    def discretize(self, per_interval):
         """A small grid inside the union, handy for exhaustive checks."""
         pts = []
         for l, r in self.intervals:
@@ -130,11 +130,7 @@ class IntervalUnion:
         return pts
 
     def to_json(self):
-        return {"intervals": [[l, r] for l, r in self.intervals]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple((l, r) for l, r in data["intervals"]))
+        return {"kind": "interval_union", "intervals": [[l, r] for l, r in self.intervals]}
 
 
 @dataclass(frozen=True)

@@ -102,25 +102,17 @@ class RealLineSpace:
 
     ``points`` is the sample used by enumeration-based operations; the metric
     is ``|x - y|`` for arbitrary reals, so subsets are not restricted to the
-    sample.  ``scale``, when given, declares that every listed point is an
-    integer multiple of ``1/scale``.
+    sample.
     """
 
     kind = "line"
 
-    def __init__(self, points=(), scale=None):
+    def __init__(self, points=()):
         pts = sorted(points)
         for a, b in zip(pts, pts[1:]):
             if not b > a:
                 raise ValueError("line points must be distinct")
-        if scale is not None:
-            if scale <= 0:
-                raise ValueError("scale must be a positive integer")
-            for p in pts:
-                if abs(p * scale - round(p * scale)) > 1e-12:
-                    raise ValueError("point %r is not a multiple of 1/%s" % (p, scale))
         self.points = list(pts)
-        self.scale = scale
 
     @staticmethod
     def d(a, b):
@@ -143,10 +135,7 @@ class RealLineSpace:
         return min(b - a for a, b in zip(self.points, self.points[1:]))
 
     def to_json(self):
-        data = {"kind": "line", "points": [float(p) for p in self.points]}
-        if self.scale is not None:
-            data["scale"] = self.scale
-        return data
+        return {"kind": "line", "points": [float(p) for p in self.points]}
 
 
 def _triple_slacks(D, cover):
@@ -284,12 +273,24 @@ def as_finite_space(space):
     return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=False)
 
 
+def _check_spec_keys(data, kind, accepted):
+    """Raise ValueError naming the keys of a JSON spec of ``kind`` ("kind"
+    aside) that are not in ``accepted``, the keys that kind reads."""
+    unknown = sorted(set(data) - set(accepted) - {"kind"})
+    if unknown:
+        raise ValueError("unknown key %s for kind %r; accepted keys: %s"
+                         % (", ".join(map(repr, unknown)), kind, ", ".join(accepted)))
+
+
 def space_from_json(data):
-    """Load a space from its JSON form (kinds: "finite", "line")."""
+    """Load a space from its JSON form: "line" with "points", or "finite"
+    with "points" and an optional "dist"; any other key raises ValueError."""
     kind = data.get("kind")
     if kind == "line":
-        return RealLineSpace(data["points"], scale=data.get("scale"))
+        _check_spec_keys(data, kind, ("points",))
+        return RealLineSpace(data["points"])
     if kind == "finite":
+        _check_spec_keys(data, kind, ("points", "dist"))
         points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
         if "dist" in data:
             return FiniteMetricSpace(points, data["dist"])

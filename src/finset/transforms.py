@@ -18,6 +18,7 @@ from .metric import (
     EnumerationCapError,
     FSet,
     FiniteMetricSpace,
+    _check_spec_keys,
     as_finite_space,
     enumerate_fsets,
     get_tolerance,
@@ -77,8 +78,10 @@ class MetricTransform:
     @classmethod
     def from_json(cls, data):
         if data.get("kind") == "power":
+            _check_spec_keys(data, "power", ("alpha",))
             return cls("power", alpha=float(data["alpha"]))
         if data.get("kind") == "table":
+            _check_spec_keys(data, "table", ("pairs",))
             return cls("table", table=tuple(tuple(p) for p in data["pairs"]))
         raise ValueError("transform JSON needs kind power or table")
 
@@ -203,23 +206,23 @@ def _disjoint_pairs(first, second):
     return (i != k) & (i != m) & (j != k) & (j != m)
 
 
-def estimate_qh_modulus(f, space_x, space_y, cap=None):
+def estimate_qh_modulus(f, space_x, space_y):
     """Tabulate the worst downstream ratio per upstream ratio bound.
 
     Scans every pair of disjoint point pairs (four distinct points), records
     (upstream ratio, downstream ratio), and returns the running-maximum step
     function as a table QhModulus.  The scan holds arrays over all pairs of
-    point pairs, so more than ``cap`` point pairs (default
-    DEFAULT_ENUMERATION_CAP) raise EnumerationCapError before any is built.
+    point pairs, so more than DEFAULT_ENUMERATION_CAP point pairs raise
+    EnumerationCapError before any is built.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     X, Y = as_finite_space(space_x), as_finite_space(space_y)
     pts = X.points
     if len(pts) < 4:
         raise ValueError("need at least 4 points to form quadruples")
     pairs = math.comb(len(pts), 2)
-    if pairs > cap:
-        raise EnumerationCapError("%d point pairs exceed the cap of %d" % (pairs, cap))
+    if pairs > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError("%d point pairs exceed the cap of %d"
+                                  % (pairs, DEFAULT_ENUMERATION_CAP))
     ii, jj = np.triu_indices(len(pts), 1)
     fidx = np.array([Y.index(f(p)) for p in pts])
     dx = X.dist[ii, jj]
@@ -243,27 +246,26 @@ class QhCheckReport:
     quadruples: int
 
 
-def check_induced_qh(f, space_x, space_y, n, eta, cap=None):
+def check_induced_qh(f, space_x, space_y, n, eta):
     """Check the quadruple condition for the induced map on subsets.
 
-    Enumerates X(n) upstream (more than ``cap`` subsets, default
-    DEFAULT_ENUMERATION_CAP, raise EnumerationCapError), pushes each subset
-    through f, and requires Δ_Y(B1,B2) ≤ η(t) Δ_Y(B3,B4) whenever
-    Δ_X(A1,A2) ≤ t Δ_X(A3,A4), which reduces to the downstream ratio at
-    t = upstream ratio.  Linear moduli use the closed form max ratio ≤
-    c · min ratio over set pairs, which also ranges over set pairs that
-    share a set.
+    Enumerates X(n) upstream (more than DEFAULT_ENUMERATION_CAP subsets
+    raise EnumerationCapError), pushes each subset through f, and requires
+    Δ_Y(B1,B2) ≤ η(t) Δ_Y(B3,B4) whenever Δ_X(A1,A2) ≤ t Δ_X(A3,A4), which
+    reduces to the downstream ratio at t = upstream ratio.  Linear moduli
+    use the closed form max ratio ≤ c · min ratio over set pairs, which
+    also ranges over set pairs that share a set.
 
     Other moduli scan the excess Δ_Y(B1,B2)/Δ_Y(B3,B4) − η(Δ_X(A1,A2)/
     Δ_X(A3,A4)) over ordered pairs (a, b) of set pairs in square tiles, so
     memory stays linear in the number of set pairs.  Time does not:
-    ``cap`` bounds the N sets, not the C(N, 2)² cells of the scan, and 377
+    the cap bounds the N sets, not the C(N, 2)² cells of the scan, and 377
     sets (13 points at n = 3) make 5.0e9 cells, which took 68 s on 2 vCPUs.
     A Hausdorff distance between finite sets is a distance between two
     points, so the upstream distances take at most C(|X|, 2) distinct
     values; η is called once per ratio of two of them, on a Python float,
     and each tile gathers its bounds from that table.  More distinct
-    distances than ``cap`` raise EnumerationCapError.  The report names the
+    distances than the cap raise EnumerationCapError.  The report names the
     first pair (a, b) in row-major order with the largest excess, or with a
     NaN excess (0/0 when f maps two sets to one image) if there is one, as
     ``np.argmax`` would.  The check passes when the worst excess is at most
@@ -274,9 +276,8 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None):
     for N sets.
     """
     tol = get_tolerance()
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     X, Y = as_finite_space(space_x), as_finite_space(space_y)
-    sets = tuple(enumerate_fsets(X, n, cap=cap))
+    sets = tuple(enumerate_fsets(X, n, cap=DEFAULT_ENUMERATION_CAP))
     if len(sets) < 2:
         raise ValueError("need at least two sets to form set pairs")
     images = [induced_subset_map(f, A) for A in sets]
@@ -293,9 +294,9 @@ def check_induced_qh(f, space_x, space_y, n, eta, cap=None):
         worst = float(ratio.max() - eta.coefficient * ratio.min())
         return report(worst, int(np.argmax(ratio)), int(np.argmin(ratio)))
     ux, code = np.unique(dx, return_inverse=True)
-    if len(ux) > cap:
+    if len(ux) > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError("%d distinct set distances exceed the cap of %d"
-                                  % (len(ux), cap))
+                                  % (len(ux), DEFAULT_ENUMERATION_CAP))
     # scalar calls: numpy's array power can differ from pow in the last bit
     table = np.array([[eta(float(p / q)) for q in ux] for p in ux], dtype=float)
     # the running pick ranks a NaN first, then the larger excess, then the

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from finset import FiniteMetricSpace, IntervalUnion, RealLineSpace, cli, ultra
+from finset import (FiniteMetricSpace, IntervalUnion, MetricTransform, RealLineSpace,
+                    cli, space_from_json, ultra)
 from finset.generators import (
     cantor_points,
     cantor_space,
@@ -24,6 +26,7 @@ from finset.generators import (
     rickman_rug,
     snowflake_interval,
 )
+from finset.metric import as_finite_space
 
 
 class TestGenerators:
@@ -127,13 +130,80 @@ class TestGenerate:
     def test_raw_forms(self):
         sp = generate({"kind": "line", "points": [0.0, 1.0]})
         assert isinstance(sp, RealLineSpace)
-        fin = generate({"kind": "explicit", "points": ["p", "q"],
+        fin = generate({"kind": "finite", "points": ["p", "q"],
                         "dist": [[0, 2], [2, 0]]})
         assert isinstance(fin, FiniteMetricSpace) and fin.d("p", "q") == 2.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             generate({"kind": "moebius"})
+        # one spelling per kind: the "finite" form has no alias
+        with pytest.raises(ValueError, match="^unknown space kind: 'explicit'$"):
+            generate({"kind": "explicit", "points": ["p", "q"], "dist": [[0, 2], [2, 0]]})
+
+    def test_defaults_live_on_the_generators(self):
+        # a spec without keys builds what the generator builds without arguments
+        for kind, build, defaults in (("snowflake", snowflake_interval, (0.5, 9)),
+                                      ("parabola", parabola_space, (1.0, 17)),
+                                      ("lattice_lines", lattice_lines_space, (2.0, 0.5)),
+                                      ("rug", rickman_rug, (9, 0.5)),
+                                      ("cantor", cantor_space, (1 / 3, 2))):
+            params = inspect.signature(build).parameters.values()
+            assert tuple(p.default for p in params) == defaults
+            sp, direct = generate({"kind": kind}), build()
+            assert sp.points == direct.points
+            assert as_finite_space(sp).dist.tobytes() == as_finite_space(direct).dist.tobytes()
+
+    @pytest.mark.parametrize("load, spec, message", [
+        (generate, {"kind": "harmonic", "K": 3, "seed": 1},
+         "'seed' for kind 'harmonic'; accepted keys: K"),
+        (generate, {"kind": "cantor", "extra": 1},
+         "'extra' for kind 'cantor'; accepted keys: ratio, depth"),
+        (generate, {"kind": "snowflake", "extra": 1},
+         "'extra' for kind 'snowflake'; accepted keys: alpha, per_side"),
+        (generate, {"kind": "parabola", "t": 5, "n": 50},
+         "'n', 't' for kind 'parabola'; accepted keys: T, N"),
+        (generate, {"kind": "lattice_lines", "extra": 1},
+         "'extra' for kind 'lattice_lines'; accepted keys: window, step"),
+        (generate, {"kind": "rug", "extra": 1},
+         "'extra' for kind 'rug'; accepted keys: per_side, alpha"),
+        (generate, {"kind": "dendrogram", "leaves": 4, "extra": 1},
+         "'extra' for kind 'dendrogram'; accepted keys: tree, leaves, seed"),
+        (generate, {"kind": "interval_union", "intervals": [[0, 1]], "extra": 1},
+         "'extra' for kind 'interval_union'; accepted keys: intervals"),
+        (generate, {"kind": "product", "x": {"kind": "line", "points": [0]},
+                    "y": {"kind": "line", "points": [0]}, "extra": 1},
+         "'extra' for kind 'product'; accepted keys: x, y"),
+        (generate, {"kind": "product", "x": {"kind": "line", "points": [0]},
+                    "y": {"kind": "harmonic", "K": 2, "k": 3}},
+         "'k' for kind 'harmonic'; accepted keys: K"),
+        (generate, {"kind": "line", "points": [0, 1], "colour": "red"},
+         "'colour' for kind 'line'; accepted keys: points"),
+        (space_from_json, {"kind": "line", "points": [0, 0.5], "scale": 2},
+         "'scale' for kind 'line'; accepted keys: points"),
+        (generate, {"kind": "finite", "points": [[0, 0]], "extra": 1},
+         "'extra' for kind 'finite'; accepted keys: points, dist"),
+        (MetricTransform.from_json, {"kind": "power", "alpha": 0.5, "beta": 1},
+         "'beta' for kind 'power'; accepted keys: alpha"),
+        (MetricTransform.from_json, {"kind": "table", "pairs": [[0, 0], [1, 1]], "extra": 1},
+         "'extra' for kind 'table'; accepted keys: pairs"),
+    ], ids=["harmonic", "cantor", "snowflake", "parabola", "lattice_lines", "rug",
+            "dendrogram", "interval_union", "product", "product-nested", "line",
+            "line-scale", "finite", "transform-power", "transform-table"])
+    def test_unknown_keys_raise(self, load, spec, message):
+        with pytest.raises(ValueError) as exc:
+            load(spec)
+        assert str(exc.value) == "unknown key " + message
+
+    @pytest.mark.parametrize("spec", [
+        {"tree": {"point": 0}, "leaves": 3},
+        {"tree": {"point": 0}, "seed": 1},
+        {"seed": 1},
+        {},
+    ], ids=["tree-and-leaves", "tree-and-seed", "seed-alone", "neither"])
+    def test_dendrogram_takes_a_tree_or_leaves(self, spec):
+        with pytest.raises(ValueError, match='^a dendrogram spec takes "tree", or "leaves"'):
+            generate({"kind": "dendrogram", **spec})
 
 
 def run_cli(capsys, argv):
@@ -205,7 +275,7 @@ class TestCli:
 
     def test_retract_generic_on_dendrogram(self, capsys):
         code, out, _ = run_cli(capsys, [
-            "retract", "--map", "ultra",
+            "retract", "--map", "generic",
             "--space", '{"kind": "dendrogram", "leaves": 6, "seed": 1}',
             "--set", "[0, 1, 2]", "--n", "3", "--m", "2"])
         assert code == 0
@@ -361,6 +431,35 @@ class TestCli:
                          flag, "5"])
             assert exc.value.code == 2
             assert "unrecognized arguments: %s 5" % flag in capsys.readouterr().err
+
+    def test_witness_reads_no_space(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["witness", "--L", "2", "--space", "{}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --space {}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--space", '{"kind": "parabola", "t": 5, "n": 50}'],
+         "unknown key 'n', 't' for kind 'parabola'; accepted keys: T, N"),
+        (["transform", "--space", '{"kind": "line", "points": [0, 1]}',
+          "--transform", '{"kind": "power", "alpha": 0.5, "a": 1}'],
+         "unknown key 'a' for kind 'power'; accepted keys: alpha"),
+        (["validate", "--space", '{"kind": "dendrogram", "tree": {"point": 0}, "leaves": 3}'],
+         'a dendrogram spec takes "tree", or "leaves" and an optional "seed"'),
+        (["validate", "--space", '{"kind": "explicit", "points": [0], "dist": [[0]]}'],
+         "unknown space kind: 'explicit'"),
+    ] + [(["retract", "--map", alias, "--set", "[0, 1]", "--n", "2",
+           "--space", '{"kind": "interval_union", "intervals": [[0, 1], [5, 6]]}'],
+          "unknown retraction %r; accepted: line, median, delete-min, interval-union, "
+          "generic, snowflake" % alias)
+         for alias in ("delete_min", "interval_union", "ultra")],
+        ids=["parabola-typo", "transform-key", "dendrogram-both", "explicit",
+             "map-delete_min", "map-interval_union", "map-ultra"])
+    def test_spec_and_map_errors_exit_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert err.count("\n") == 1
 
     def test_space_file_input(self, capsys, tmp_path):
         spec = tmp_path / "space.json"

@@ -320,11 +320,6 @@ class TestSpaces:
         with pytest.raises(ValueError):
             RealLineSpace([0.0, 0.0])
 
-    def test_line_space_scale_lattice(self):
-        RealLineSpace([0.0, 0.5, 2.0], scale=2.0)
-        with pytest.raises(ValueError):
-            RealLineSpace([0.0, 0.3], scale=2.0)
-
     def test_json_roundtrip(self):
         sp = RealLineSpace([0.0, 1.0, 2.5])
         back = space_from_json(sp.to_json())
@@ -396,6 +391,9 @@ def test_one_global_tolerance_and_no_dead_knobs():
     assert not hasattr(finset.HarmonicSet, "space")
     assert "D" not in params["split_gh"]
     assert finset.GENERIC_BOUND == 5.0
+    # the cap of the quadruple checks is DEFAULT_ENUMERATION_CAP alone
+    assert "cap" not in params["check_induced_qh"]
+    assert "cap" not in params["estimate_qh_modulus"]
 
 
 def test_tolerance_moves_the_verdicts(monkeypatch):
