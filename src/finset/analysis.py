@@ -89,22 +89,26 @@ class _PackedFamily:
 
     ``idx`` is (num_sets, k) with each row the universe indices of one set,
     padded by repeating the first index (padding never changes Hausdorff
-    distances).  Two minima tables, both (universe, num_sets) and
-    C-contiguous, hold the distance between each universe point u and each
-    set s, one per orientation of d:
+    distances).  ``near`` reads distances forward, ``near[b, u]`` = d(u, b),
+    and ``far`` backward, ``far[a, u]`` = d(a, u); for line positions both
+    are the positions, read as |u - b|.  They are one array when d is
+    symmetric.
+
+    A universe of at most ``_BLOCK`` points keeps two minima tables over the
+    whole family, both (universe, num_sets) and C-contiguous:
 
     - ``fwd[u, s]`` is the min over b in s of d(u, b);
     - ``bwd[u, s]`` is the min over a in s of d(a, u).
 
-    They are the same array when d is symmetric: for line positions, or for
-    a matrix equal to its transpose.  A directed distance from one block of
-    sets to another is then k contiguous row gathers of one table folded
-    together by an in-place max; ``_hausdorff_block`` says which table each
-    direction reads.
+    A larger universe, such as the image of a retraction that slides points
+    off the sample, would make those tables quadratic in the family.  It
+    keeps instead, for each block of ``_BLOCK`` sets, the block's distinct
+    points and each set's slots as indices into them, and ``directed``
+    builds a (block points, ``_BLOCK``) table for each block pair it reads.
     """
 
     def __init__(self, sets, space):
-        key, lookup, dist_univ = _universe(sets, space)
+        key, lookup, dist = _universe(sets, space)
         k = max(len(s) for s in sets)
         idx = np.empty((len(sets), k), dtype=np.intp)
         for row, s in enumerate(sets):
@@ -112,31 +116,57 @@ class _PackedFamily:
             idx[row, :len(cols)] = cols
             idx[row, len(cols):] = cols[0]
         self.idx = idx
-        symmetric = dist_univ.ndim == 1 or np.array_equal(dist_univ, dist_univ.T)
-        self.bwd = self._minima(dist_univ)
-        self.fwd = self.bwd if symmetric else self._minima(dist_univ.T)
+        symmetric = dist.ndim == 1 or np.array_equal(dist, dist.T)
+        self.near = dist if symmetric else dist.T
+        self.far = dist
+        if len(dist) <= _BLOCK:
+            self.fwd = _minima(self.near, slice(None), idx)
+            self.bwd = self.fwd if symmetric else _minima(self.far, slice(None), idx)
+            self.blocks = None
+        else:
+            self.fwd = self.bwd = None
+            self.blocks = []
+            for r0 in range(0, len(idx), _BLOCK):
+                block = idx[r0:r0 + _BLOCK]
+                pts, rows = np.unique(block, return_inverse=True)
+                self.blocks.append((pts, rows.reshape(block.shape)))
 
-    def _minima(self, dist_univ):
-        """Table [u, s] = min over a in s of ``dist_univ[a, u]``, or of |u - a|
-        for line positions, folded one column of ``idx`` at a time: packing
-        peaks at the table plus one more array of its size."""
-        out = np.full((len(dist_univ), len(self.idx)), np.inf)
-        gap = np.empty_like(out) if dist_univ.ndim == 1 else None
-        for c in self.idx.T:
-            if gap is None:
-                np.minimum(out, dist_univ[c].T, out=out)
-            else:
-                np.subtract.outer(dist_univ, dist_univ[c], out=gap)
-                np.minimum(out, np.abs(gap, out=gap), out=out)
+    def directed(self, r0, c0, forward):
+        """Directed distances from each set of the row block at r0 to each
+        set of the block at c0: for each row set, the max over its points
+        of their minima to the other set, read ``near`` forward and ``far``
+        backward.  The folds are k contiguous row gathers of a table and an
+        in-place max."""
+        if self.blocks is None:
+            table = (self.fwd if forward else self.bwd)[:, c0:c0 + _BLOCK]
+            rows = self.idx[r0:r0 + _BLOCK]
+        else:
+            pts, rows = self.blocks[r0 // _BLOCK]
+            table = _minima(self.near if forward else self.far, pts,
+                            self.idx[c0:c0 + _BLOCK])
+        out = table[rows[:, 0]]
+        for c in range(1, rows.shape[1]):
+            np.maximum(out, table[rows[:, c]], out=out)
         return out
 
 
-def _directed_block(table, rows, c0):
-    """Directed distances from each set of ``rows`` to the block of sets
-    starting at c0: the max over each row's points of their minima."""
-    out = table[rows[:, 0], c0:c0 + _BLOCK]
-    for c in range(1, rows.shape[1]):
-        np.maximum(out, table[rows[:, c], c0:c0 + _BLOCK], out=out)
+def _minima(dist, pts, slots):
+    """Table [p, s] = min over the points b of row s of ``slots`` of
+    ``dist[b, pts[p]]``, or of |dist[pts[p]] - dist[b]| for line positions;
+    ``pts`` is an index array, or a slice for every point.  C-contiguous and
+    folded one column of ``slots`` at a time, so building it peaks at two
+    tables."""
+    first, rest = slots[:, 0], slots[:, 1:].T
+    if dist.ndim == 1:
+        x = dist[pts, None]
+        out = np.abs(x - dist[first])
+        gap = np.empty_like(out)
+        for c in rest:
+            np.minimum(out, np.abs(np.subtract(x, dist[c], out=gap), out=gap), out=out)
+    else:
+        out = np.ascontiguousarray(dist[first][:, pts].T)
+        for c in rest:
+            np.minimum(out, dist[c][:, pts].T, out=out)
     return out
 
 
@@ -146,12 +176,12 @@ def _hausdorff_block(fam, i0, j0):
     Entry (i, j) is the float ``hausdorff(sets[i0 + i], sets[j0 + j],
     space)`` gives.  That reads d(a, b) with a in the first set in both
     directions, so the forward direction, from the i0 block to the j0
-    block, reads ``fwd`` and the backward one reads ``bwd``.  On a matrix
+    block, reads ``near`` and the backward one reads ``far``.  On a matrix
     that is symmetric only within tolerance the two can differ in the last
     bit.
     """
-    forward = _directed_block(fam.fwd, fam.idx[i0:i0 + _BLOCK], j0)
-    backward = _directed_block(fam.bwd, fam.idx[j0:j0 + _BLOCK], i0)
+    forward = fam.directed(i0, j0, True)
+    backward = fam.directed(j0, i0, False)
     return np.maximum(forward, backward.T, out=forward)
 
 

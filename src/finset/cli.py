@@ -33,11 +33,16 @@ _MAPS = ("line", "median", "delete-min", "interval-union", "generic", "snowflake
 
 
 def _load_spec(text):
+    """A JSON spec given inline, or the path of a file holding one."""
     text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    if text.startswith(("{", "[")):
+        spec = json.loads(text)
+    else:
+        with open(text) as fh:
+            spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("a spec must be a JSON object, got %s" % (json.dumps(spec),))
+    return spec
 
 
 def _load_space(text):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 import random
 
 import numpy as np
@@ -16,9 +17,21 @@ from .metric import FiniteMetricSpace, RealLineSpace, _check_spec_keys, space_fr
 from .transforms import product_space
 
 
+def _count(name, value):
+    """A count parameter as an int.  An integral float such as 6.0 passes;
+    6.5, or anything else that is not an integer, raises ValueError naming
+    the parameter, where ``int`` would truncate it to a space nobody named."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+
+
 def harmonic_space(K):
     """{0} ∪ {1/k : 1 ≤ k ≤ K} on the real line."""
-    return RealLineSpace(HarmonicSet(int(K)).points())
+    return RealLineSpace(HarmonicSet(_count("K", K)).points())
 
 
 def cantor_points(ratio=1.0 / 3.0, depth=2):
@@ -44,7 +57,7 @@ def cantor_points(ratio=1.0 / 3.0, depth=2):
 
 
 def cantor_space(ratio=1.0 / 3.0, depth=2):
-    return RealLineSpace(cantor_points(float(ratio), int(depth)))
+    return RealLineSpace(cantor_points(float(ratio), _count("depth", depth)))
 
 
 def snowflake_interval(alpha=0.5, per_side=9):
@@ -52,7 +65,7 @@ def snowflake_interval(alpha=0.5, per_side=9):
 
     alpha = 1 gives the plain grid.
     """
-    alpha, per_side = float(alpha), int(per_side)
+    alpha, per_side = float(alpha), _count("per_side", per_side)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if per_side < 2:
@@ -65,7 +78,7 @@ def snowflake_interval(alpha=0.5, per_side=9):
 
 def parabola_space(T=1.0, N=17):
     """N evenly spaced samples of {(x, x²) : |x| ≤ T} with planar distances."""
-    T, N = float(T), int(N)
+    T, N = float(T), _count("N", N)
     if T <= 0 or N < 2:
         raise ValueError("need T > 0 and at least 2 samples")
     xs = np.linspace(-T, T, N)
@@ -158,7 +171,8 @@ def _dendrogram(tree=None, leaves=None, seed=None):
     if (tree is None) == (leaves is None) or seed is not None and leaves is None:
         raise ValueError('a dendrogram spec takes "tree", or "leaves" and an optional "seed"')
     if tree is None:
-        tree = random_dendrogram(int(leaves), *(() if seed is None else (int(seed),)))
+        tree = random_dendrogram(_count("leaves", leaves),
+                                 *(() if seed is None else (_count("seed", seed),)))
     return dendrogram_space(tree)
 
 
@@ -179,9 +193,11 @@ _KINDS = {
 def generate(spec):
     """Build the space a generator spec dict describes: a kind of ``_KINDS``
     through its function, any other kind through ``space_from_json``.  A key
-    the kind does not read raises ValueError."""
+    the kind does not read, or a missing one it needs, raises ValueError."""
     kind = spec.get("kind")
     if kind not in _KINDS:
         return space_from_json(spec)
-    _check_spec_keys(spec, kind, inspect.signature(_KINDS[kind]).parameters)
+    params = inspect.signature(_KINDS[kind]).parameters
+    _check_spec_keys(spec, kind, params,
+                     [k for k, p in params.items() if p.default is p.empty])
     return _KINDS[kind](**{k: v for k, v in spec.items() if k != "kind"})

@@ -273,24 +273,30 @@ def as_finite_space(space):
     return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=False)
 
 
-def _check_spec_keys(data, kind, accepted):
+def _check_spec_keys(data, kind, accepted, required):
     """Raise ValueError naming the keys of a JSON spec of ``kind`` ("kind"
-    aside) that are not in ``accepted``, the keys that kind reads."""
+    aside) that are not in ``accepted``, the keys that kind reads, or else
+    the keys of ``required`` that it lacks."""
     unknown = sorted(set(data) - set(accepted) - {"kind"})
     if unknown:
         raise ValueError("unknown key %s for kind %r; accepted keys: %s"
                          % (", ".join(map(repr, unknown)), kind, ", ".join(accepted)))
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError("missing key %s for kind %r"
+                         % (", ".join(map(repr, missing)), kind))
 
 
 def space_from_json(data):
     """Load a space from its JSON form: "line" with "points", or "finite"
-    with "points" and an optional "dist"; any other key raises ValueError."""
+    with "points" and an optional "dist"; any other key, or a missing
+    "points", raises ValueError."""
     kind = data.get("kind")
     if kind == "line":
-        _check_spec_keys(data, kind, ("points",))
+        _check_spec_keys(data, kind, ("points",), ("points",))
         return RealLineSpace(data["points"])
     if kind == "finite":
-        _check_spec_keys(data, kind, ("points", "dist"))
+        _check_spec_keys(data, kind, ("points", "dist"), ("points",))
         points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
         if "dist" in data:
             return FiniteMetricSpace(points, data["dist"])

@@ -78,10 +78,10 @@ class MetricTransform:
     @classmethod
     def from_json(cls, data):
         if data.get("kind") == "power":
-            _check_spec_keys(data, "power", ("alpha",))
+            _check_spec_keys(data, "power", ("alpha",), ("alpha",))
             return cls("power", alpha=float(data["alpha"]))
         if data.get("kind") == "table":
-            _check_spec_keys(data, "table", ("pairs",))
+            _check_spec_keys(data, "table", ("pairs",), ("pairs",))
             return cls("table", table=tuple(tuple(p) for p in data["pairs"]))
         raise ValueError("transform JSON needs kind power or table")
 

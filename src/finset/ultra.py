@@ -5,6 +5,7 @@ with its disconnection constant.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -168,15 +169,17 @@ def generic_retract(family, A, n, m):
     pts = _check_size(tuple(A), n)
     if len(pts) <= m:
         return _as_fset(A, pts)
-    top = family.levels[-1]
-    for k in reversed(family.levels):
-        img = {family.maps[k][p] for p in pts}
-        if len(img) <= m:
-            if k == top:
-                raise LevelRangeError(
-                    "level range is truncated above; cannot certify the maximal level")
-            return FSet(img)
-    raise LevelRangeError("no level in range collapses the set to %d points" % m)
+    # on an ultrametric the center count of A does not increase as the level
+    # gets coarser, so the levels that collapse A to m points are a prefix
+    levels = family.levels
+    cut = bisect.bisect_left(levels, True,
+                             key=lambda k: len({family.maps[k][p] for p in pts}) > m)
+    if cut == 0:
+        raise LevelRangeError("no level in range collapses the set to %d points" % m)
+    if cut == len(levels):
+        raise LevelRangeError(
+            "level range is truncated above; cannot certify the maximal level")
+    return FSet({family.maps[levels[cut - 1]][p] for p in pts})
 
 
 # Lipschitz bound of generic_retract, 2 L^3 / b + 1, at the contraction

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from finset import get_tolerance
+from finset import FiniteMetricSpace, analysis, get_tolerance
 
 
 def brute_minimax(D, i, j):
@@ -59,3 +59,35 @@ def strong_triangle(space):
         if slack > worst:
             worst, arg = slack, (pts[i], pts[j], pts[z])
     return (worst <= get_tolerance(), worst, arg)
+
+
+class FamilyTable:
+    """The packed family before it was split into row blocks: each set's
+    point indices padded with its first, and two minima tables over all the
+    family's points, (points, sets).  ``fwd[u, s]`` is the min over b in s
+    of d(u, b) and ``bwd[u, s]`` the min over a in s of d(a, u)."""
+
+    def __init__(self, sets, space):
+        if isinstance(space, FiniteMetricSpace):
+            used = sorted({space._index[p] for s in sets for p in s})
+            index = {space.points[i]: u for u, i in enumerate(used)}
+            D = space.dist[np.ix_(used, used)]
+        else:
+            vals = sorted({float(p) for s in sets for p in s})
+            index = {v: u for u, v in enumerate(vals)}
+            D = np.abs(np.subtract.outer(vals, vals))
+            sets = [[float(p) for p in s] for s in sets]
+        k = max(len(s) for s in sets)
+        self.idx = np.array([[index[p] for p in s] + [index[next(iter(s))]] * (k - len(s))
+                             for s in sets])
+        self.fwd = np.stack([D[:, cols].min(axis=1) for cols in self.idx], axis=1)
+        self.bwd = np.stack([D[cols, :].min(axis=0) for cols in self.idx], axis=1)
+
+
+def family_table_block(fam, i0, j0):
+    """Hausdorff distances between the row blocks at i0 and j0 of a
+    ``FamilyTable``, read as ``analysis._hausdorff_block`` reads them."""
+    size = analysis._BLOCK
+    forward = fam.fwd[:, j0:j0 + size][fam.idx[i0:i0 + size]].max(axis=1)
+    backward = fam.bwd[:, i0:i0 + size][fam.idx[j0:j0 + size]].max(axis=1)
+    return np.maximum(forward, backward.T)

@@ -27,6 +27,7 @@ from finset import (
     hausdorff,
     line_retract,
     lipschitz_obstruction_witness,
+    median_retract,
     merge_curve,
     min_separation,
     qc_bounds,
@@ -37,6 +38,8 @@ from finset import (
 from finset import analysis
 from finset.generators import (dendrogram_space, harmonic_space, parabola_space,
                                random_dendrogram)
+
+from brute import FamilyTable, family_table_block
 
 
 def brute_best_ratio(f, sets, beta=1.0, d=None):
@@ -187,10 +190,10 @@ class TestExhaustiveKernel:
         assert_kernel_matches_brute(lambda A: FSet(shift[p] for p in A), sets, beta, sp)
 
 
-def skewed_lattice():
+def skewed_lattice(side=3):
     # a matrix symmetric only within tolerance, as shortest paths summed in
     # two orders give: d(a, b) is one ulp larger when a comes first
-    lattice = FiniteMetricSpace.from_coords([(x, y) for x in range(3) for y in range(3)])
+    lattice = FiniteMetricSpace.from_coords([(x, y) for x in range(side) for y in range(side)])
     D = lattice.dist.copy()
     upper = np.triu_indices(len(D), 1)
     D[upper] = np.nextafter(D[upper], np.inf)
@@ -247,7 +250,9 @@ def unequal_grid():
 
 class TestPackedFamily:
     """Each family is packed over its own points, so the domain's minima
-    table does not grow with the points its images land on."""
+    table does not grow with the points its images land on.  A family over
+    more than ``_BLOCK`` points, as the images here, keeps no table over
+    all its sets, only each row block's own points."""
 
     def grid_families(self):
         sets = enumerate_fsets(unequal_grid(), 4)
@@ -256,21 +261,47 @@ class TestPackedFamily:
     def test_each_family_has_a_row_per_own_point(self):
         sets, images = self.grid_families()
         image_points = {float(p) for B in images for p in B}
-        assert len(image_points) > 14  # the images fall off the grid
+        assert len(image_points) > analysis._BLOCK  # the images fall off the grid
         dom = analysis._PackedFamily(sets, None)
         img = analysis._PackedFamily(images, None)
-        assert dom.bwd.shape == (14, len(sets))
-        assert img.bwd.shape == (len(image_points), len(images))
+        assert dom.bwd.shape == (14, len(sets)) and dom.blocks is None
+        assert img.near.tolist() == sorted(image_points)
+        assert img.fwd is img.bwd is None
+        assert len(img.blocks) == math.ceil(len(images) / analysis._BLOCK)
+        for r0, (pts, rows) in zip(range(0, len(images), analysis._BLOCK), img.blocks):
+            block = img.idx[r0:r0 + analysis._BLOCK]
+            assert pts.tolist() == sorted(set(block.flat))
+            assert (pts[rows] == block).all()
 
     def test_packing_peaks_near_two_tables(self):
+        # a table over all 7,546 sets of harmonic K = 20 at n = 4 takes two
+        # tables to build; row blocks build none, and pack below the table
+        # that one block pair reads, (block points, _BLOCK)
         _, images = self.grid_families()
+        for family in (enumerate_fsets(harmonic_space(20), 4), images):
+            tracemalloc.start()
+            try:
+                fam = analysis._PackedFamily(family, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if fam.blocks is None:
+                assert peak <= 3 * fam.bwd.nbytes
+            else:
+                assert peak <= max(len(pts) for pts, _ in fam.blocks) * analysis._BLOCK * 8
+
+    def test_median_search_peaks_below_one_family_table(self):
+        # the images of harmonic K = 16 at n = 4 land on 1,002 points: one
+        # minima table over them and the 3,213 sets would be 25.7 MB
+        sets = enumerate_fsets(harmonic_space(16), 4)
         tracemalloc.start()
         try:
-            fam = analysis._PackedFamily(images, None)
+            rep = estimate_constant(lambda A: median_retract(A, 4), sets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * fam.bwd.nbytes
+        assert repr(rep.constant) == "3.4999999999999996"
+        assert peak < 1002 * 3213 * 8
 
     def test_line_retract_on_the_grid_matches_scalar_hausdorff(self):
         # n = 3 keeps the scalar reference near a second (n = 4 takes ten)
@@ -294,6 +325,59 @@ class TestPackedFamily:
         rep = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
         assert rep.constant == best
         assert rep.witness == arg
+
+
+def family_table_constant(f, sets, beta, space, monkeypatch):
+    # the exhaustive search on the reference kernel: one minima table per
+    # family over all its points and sets
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_PackedFamily", FamilyTable)
+        m.setattr(analysis, "_hausdorff_block", family_table_block)
+        return estimate_constant(f, sets, hoelder_exponent=beta, space=space)
+
+
+def assert_same_report(fast, slow):
+    assert (repr(fast.constant), fast.witness, fast.pairs_examined) == \
+        (repr(slow.constant), slow.witness, slow.pairs_examined)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("retract", [line_retract, median_retract])
+@pytest.mark.parametrize("case", ["grid-3", "grid-4", "harmonic-12"])
+def test_row_blocks_match_the_family_table_off_sample(case, retract, beta, monkeypatch):
+    # every image family here lands on more than _BLOCK points; the scalar
+    # reference takes about a second at n = 3 and ten at n = 4
+    space, n = {"grid-3": (unequal_grid(), 3), "grid-4": (unequal_grid(), 4),
+                "harmonic-12": (harmonic_space(12), 4)}[case]
+    sets = enumerate_fsets(space, n)
+    f = functools.cache(lambda A: retract(A, n))
+    assert analysis._PackedFamily([f(A) for A in sets], None).blocks is not None
+    fast = estimate_constant(f, sets, hoelder_exponent=beta)
+    assert_same_report(fast, family_table_constant(f, sets, beta, None, monkeypatch))
+    if n == 3:
+        assert (fast.constant, fast.witness) == first_max_ratio(f, sets, beta, None)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("shape", ["first-point", "row-shift"])
+@pytest.mark.parametrize("skew", [False, True])
+def test_row_blocks_match_the_family_table_on_a_finite_space(skew, shape, beta, monkeypatch):
+    # 144 lattice points at n = 2: the singletons, and the neighbouring pairs
+    # (diagonals included) whose first point has x < 2; two blocks of sets
+    # over more than _BLOCK points
+    sp = skewed_lattice(12)
+    if not skew:
+        sp = FiniteMetricSpace(sp.points, np.minimum(sp.dist, sp.dist.T))
+    sets = [A for A in enumerate_fsets(sp, 2)
+            if len(A) == 1 or A.elements[0][0] < 2 and sp.d(*A.elements) < 1.5]
+    assert len(sets) == 234
+    shift = dict(zip(sp.points, sp.points[12:] + sp.points[:12]))
+    f = {"first-point": lambda A: FSet(list(A)[:1]),
+         "row-shift": lambda A: FSet(shift[p] for p in A)}[shape]
+    assert analysis._PackedFamily(sets, sp).blocks is not None
+    fast = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
+    assert_same_report(fast, family_table_constant(f, sets, beta, sp, monkeypatch))
+    assert (fast.constant, fast.witness) == first_max_ratio(f, sets, beta, sp)
 
 
 class _MaskedPowerNumpy:

@@ -195,6 +195,44 @@ class TestGenerate:
             load(spec)
         assert str(exc.value) == "unknown key " + message
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "harmonic", "K": 6.5}, "K must be an integer, got 6.5"),
+        ({"kind": "snowflake", "per_side": 4.9}, "per_side must be an integer, got 4.9"),
+        ({"kind": "parabola", "N": 17.5}, "N must be an integer, got 17.5"),
+        ({"kind": "cantor", "depth": "2"}, "depth must be an integer, got '2'"),
+        ({"kind": "rug", "per_side": 3.5}, "per_side must be an integer, got 3.5"),
+        ({"kind": "dendrogram", "leaves": 5.5}, "leaves must be an integer, got 5.5"),
+        ({"kind": "dendrogram", "leaves": 5, "seed": 0.5}, "seed must be an integer, got 0.5"),
+    ], ids=["harmonic", "snowflake", "parabola", "cantor-text", "rug", "dendrogram-leaves",
+            "dendrogram-seed"])
+    def test_counts_must_be_integers(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            generate(spec)
+        assert str(exc.value) == message
+
+    def test_integral_float_counts_build_the_same_space(self):
+        for spec in ({"kind": "harmonic", "K": 6.0}, {"kind": "snowflake", "per_side": 4.0},
+                     {"kind": "dendrogram", "leaves": 5.0, "seed": 7.0}):
+            exact = {k: int(v) if isinstance(v, float) else v for k, v in spec.items()}
+            sp, direct = generate(spec), generate(exact)
+            assert sp.points == direct.points
+            assert as_finite_space(sp).dist.tobytes() == as_finite_space(direct).dist.tobytes()
+
+    @pytest.mark.parametrize("load, spec, message", [
+        (generate, {"kind": "harmonic"}, "'K' for kind 'harmonic'"),
+        (generate, {"kind": "line"}, "'points' for kind 'line'"),
+        (generate, {"kind": "finite", "dist": [[0]]}, "'points' for kind 'finite'"),
+        (generate, {"kind": "interval_union"}, "'intervals' for kind 'interval_union'"),
+        (generate, {"kind": "product"}, "'x', 'y' for kind 'product'"),
+        (MetricTransform.from_json, {"kind": "power"}, "'alpha' for kind 'power'"),
+        (MetricTransform.from_json, {"kind": "table"}, "'pairs' for kind 'table'"),
+    ], ids=["harmonic", "line", "finite", "interval_union", "product", "transform-power",
+            "transform-table"])
+    def test_missing_keys_raise(self, load, spec, message):
+        with pytest.raises(ValueError) as exc:
+            load(spec)
+        assert str(exc.value) == "missing key " + message
+
     @pytest.mark.parametrize("spec", [
         {"tree": {"point": 0}, "leaves": 3},
         {"tree": {"point": 0}, "seed": 1},
@@ -448,13 +486,22 @@ class TestCli:
          'a dendrogram spec takes "tree", or "leaves" and an optional "seed"'),
         (["validate", "--space", '{"kind": "explicit", "points": [0], "dist": [[0]]}'],
          "unknown space kind: 'explicit'"),
+        (["validate", "--space", '{"kind": "harmonic", "K": 6.5}'],
+         "K must be an integer, got 6.5"),
+        (["validate", "--space", '{"kind": "line"}'], "missing key 'points' for kind 'line'"),
+        (["validate", "--space", '{"kind": "harmonic"}'], "missing key 'K' for kind 'harmonic'"),
+        (["transform", "--space", '{"kind": "line", "points": [0, 1]}',
+          "--transform", '{"kind": "table"}'],
+         "missing key 'pairs' for kind 'table'"),
+        (["validate", "--space", "[1, 2]"], "a spec must be a JSON object, got [1, 2]"),
     ] + [(["retract", "--map", alias, "--set", "[0, 1]", "--n", "2",
            "--space", '{"kind": "interval_union", "intervals": [[0, 1], [5, 6]]}'],
           "unknown retraction %r; accepted: line, median, delete-min, interval-union, "
           "generic, snowflake" % alias)
          for alias in ("delete_min", "interval_union", "ultra")],
         ids=["parabola-typo", "transform-key", "dendrogram-both", "explicit",
-             "map-delete_min", "map-interval_union", "map-ultra"])
+             "harmonic-fraction", "line-missing", "harmonic-missing", "transform-missing",
+             "spec-list", "map-delete_min", "map-interval_union", "map-ultra"])
     def test_spec_and_map_errors_exit_one(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
