@@ -605,6 +605,24 @@ class QuasiconvexityReport:
     eps: float
 
 
+def _eps_graph(D, eps):
+    """The off-diagonal entries of D within eps as a scipy CSR matrix, in
+    row-major order: the graph scipy would read from the dense matrix of
+    edge weights.  It holds 12 bytes an edge, a float weight and an int32
+    column; with int32 indices, which scipy's search runs on, the matrix
+    keeps the arrays made here instead of copying them."""
+    from scipy.sparse import csr_array
+
+    n = len(D)
+    edges = D <= eps
+    np.fill_diagonal(edges, False)
+    flat = np.flatnonzero(edges)
+    row_starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
+    weights = D.take(flat)
+    cols = np.remainder(flat, n, out=flat).astype(np.int32)
+    return csr_array((weights, cols, row_starts), shape=(n, n))
+
+
 def quasiconvexity_constant(space, eps):
     """Discrete quasiconvexity constant at neighbor radius eps.
 
@@ -623,18 +641,20 @@ def quasiconvexity_constant(space, eps):
     if N == 1:
         return QuasiconvexityReport(1.0, None, True, float(eps))
     D = space.dist
-    adj = np.where(D <= eps, D, 0.0)
-    np.fill_diagonal(adj, 0.0)
-    lengths = shortest_path(adj, method="D", directed=False)
-    off = ~np.eye(N, dtype=bool)
-    if np.isinf(lengths[off]).any():
-        cut = np.where(np.isinf(lengths) & off, D, np.inf)
-        i, j = np.unravel_index(int(np.argmin(cut)), cut.shape)
+    lengths = shortest_path(_eps_graph(D, eps), method="D", directed=False)
+    cut = np.isinf(lengths)
+    if cut.any():
+        # the closest pair with no path between them
+        lengths.fill(np.inf)
+        np.copyto(lengths, D, where=cut)
+        i, j = divmod(int(np.argmin(lengths)), N)
         return QuasiconvexityReport(math.inf,
                                     (space.points[i], space.points[j]),
                                     False, float(eps))
-    ratios = np.where(off, lengths / np.where(off, D, 1.0), 0.0)
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on the diagonal, zeroed next
+        ratios = np.divide(lengths, D, out=lengths)
+    np.fill_diagonal(ratios, 0.0)
+    i, j = divmod(int(np.argmax(ratios)), N)
     return QuasiconvexityReport(float(ratios[i, j]),
                                 (space.points[i], space.points[j]),
                                 True, float(eps))

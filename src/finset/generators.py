@@ -6,6 +6,7 @@ ultrametrics, plus the JSON spec dispatcher used by the command line.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import operator
 import random
@@ -73,7 +74,7 @@ def snowflake_interval(alpha=0.5, per_side=9):
     xs = np.linspace(0.0, 1.0, per_side)
     points = tuple(float(x) for x in xs)
     D = np.abs(xs[:, None] - xs[None, :]) ** alpha
-    return FiniteMetricSpace(points, D, validate=False)
+    return FiniteMetricSpace._adopt(points, D)
 
 
 def parabola_space(T=1.0, N=17):
@@ -110,24 +111,24 @@ def _tree_height(node):
     return node["merge_height"] if "children" in node else 0.0
 
 
-def _collect_leaves(node, out, entries):
+def _collect_leaves(node, out, blocks):
+    """Append the leaves under node to out, and to blocks, for each pair of
+    its children, their index ranges in out and the height they merge at;
+    returns the range of node's own leaves."""
+    start = len(out)
     if "children" not in node:
         out.append(node["point"])
-        return [node["point"]]
+        return start, start + 1
     h = float(node["merge_height"])
     if h <= 0:
         raise ValueError("merge heights must be positive")
-    groups = []
+    ranges = []
     for child in node["children"]:
         if _tree_height(child) > h:
             raise ValueError("child merge height exceeds parent height %g" % h)
-        groups.append(_collect_leaves(child, out, entries))
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for p in groups[gi]:
-                for q in groups[gj]:
-                    entries.append((p, q, h))
-    return [p for g in groups for p in g]
+        ranges.append(_collect_leaves(child, out, blocks))
+    blocks.extend((a, b, h) for a, b in itertools.combinations(ranges, 2))
+    return start, len(out)
 
 
 def dendrogram_space(tree):
@@ -138,15 +139,14 @@ def dendrogram_space(tree):
     ancestor.  Heights must not increase toward the leaves.
     """
     leaves = []
-    entries = []
-    _collect_leaves(tree, leaves, entries)
+    blocks = []
+    _collect_leaves(tree, leaves, blocks)
     if len(set(leaves)) != len(leaves):
         raise ValueError("duplicate leaf ids in dendrogram")
-    index = {p: i for i, p in enumerate(leaves)}
     D = np.zeros((len(leaves), len(leaves)))
-    for p, q, h in entries:
-        D[index[p], index[q]] = D[index[q], index[p]] = h
-    return FiniteMetricSpace(tuple(leaves), D, validate=False)
+    for (a0, a1), (b0, b1), h in blocks:
+        D[a0:a1, b0:b1] = D[b0:b1, a0:a1] = h
+    return FiniteMetricSpace._adopt(tuple(leaves), D)
 
 
 def random_dendrogram(num_leaves, seed=0):

@@ -138,6 +138,69 @@ class RealLineSpace:
         return {"kind": "line", "points": [float(p) for p in self.points]}
 
 
+_TINY = np.finfo(float).tiny
+# cells of one row block, 2 MiB of floats.  With 512 KiB blocks, numpy code
+# that then allocates and frees n x n arrays in a loop ran up to 4x slower at
+# n = 300: glibc trims its heap after each such free unless an earlier free of
+# a larger block raised its trim threshold.
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(n, *shape):
+    """Row slices covering range(n), each of about _BLOCK_CELLS cells when a
+    row holds ``shape``, with a work array of (block rows, *shape) cut from
+    one buffer: a pass over an n x n matrix holds one block at a time."""
+    step = max(1, _BLOCK_CELLS // max(math.prod(shape), 1))
+    buf = np.empty((min(step, n),) + shape)
+    for i in range(0, n, step):
+        s = slice(i, min(i + step, n))
+        yield s, buf[:s.stop - s.start]
+
+
+def _off_diagonal_min(D):
+    """The least off-diagonal entry of a square matrix of two or more rows,
+    and its first (i, j) in row-major order, as ``np.argmin`` finds it with
+    the diagonal set to inf."""
+    n = len(D)
+    low, at = np.inf, None
+    for s, block in _row_blocks(n, n):
+        np.copyto(block, D[s])
+        block[np.arange(len(block)), np.arange(s.start, s.stop)] = np.inf
+        k = int(np.argmin(block))
+        if at is None or block.flat[k] < low:
+            low, at = block.flat[k], (s.start + k // n, k % n)
+    return low, at
+
+
+def _max_asymmetry(D):
+    """The largest |D[i, j] - D[j, i]| of a square matrix, 0.0 when empty:
+    the largest entry of D - D.T, which holds each gap with both signs."""
+    worst = 0.0
+    for s, gap in _row_blocks(len(D), len(D)):
+        worst = max(worst, np.subtract(D[s], D.T[s], out=gap).max())
+    return worst
+
+
+def _euclidean(arr):
+    """The Euclidean distance matrix of the rows of arr: the square root of
+    the squared coordinate gaps summed over the last axis of their (n, n, d)
+    array, one row block of it at a time."""
+    n, dim = arr.shape
+    dist = np.empty((n, n))
+    for s, gaps in _row_blocks(n, n, dim):
+        block = dist[s]
+        with np.errstate(over="ignore"):  # an overflowed sum is redone below
+            np.square(np.subtract(arr[s, None, :], arr[None, :, :], out=gaps), out=gaps)
+            np.sum(gaps, axis=-1, out=block)
+        # a sum of squares that overflowed, or fell below the normal range,
+        # lost its gaps; hypot scales them instead
+        rows, cols = np.nonzero((block < _TINY) | (block == np.inf))
+        np.sqrt(block, out=block)
+        block[rows, cols] = np.hypot.reduce(arr[rows + s.start] - arr[cols], axis=1,
+                                            initial=0.0)
+    return dist
+
+
 def _triple_slacks(D, cover):
     """Per pivot z in order, ``(peak, (i, j), z)``: the largest slack
     D[i, j] - cover(D[i, z], D[z, j]) and its first (i, j) in row-major
@@ -165,8 +228,21 @@ class FiniteMetricSpace:
     kind = "finite"
 
     def __init__(self, points, dist, validate=True):
+        self._setup(points, np.array(dist, dtype=float))
+        if validate:
+            self.validate()
+
+    @classmethod
+    def _adopt(cls, points, dist):
+        """``cls(points, dist, validate=False)`` for a float matrix built for
+        this space alone, which it keeps instead of copying."""
+        space = cls.__new__(cls)
+        space._setup(points, dist)
+        return space
+
+    def _setup(self, points, dist):
         self.points = list(points)
-        self.dist = np.array(dist, dtype=float)
+        self.dist = dist
         n = len(self.points)
         if self.dist.shape != (n, n):
             raise ValueError("distance matrix shape %s does not match %d points"
@@ -175,8 +251,6 @@ class FiniteMetricSpace:
         if len(self._index) != n:
             raise ValueError("point identifiers must be distinct")
         self._check_pairs()
-        if validate:
-            self.validate()
 
     def d(self, a, b):
         return float(self.dist[self._index[a], self._index[b]])
@@ -197,8 +271,7 @@ class FiniteMetricSpace:
         n = len(self.points)
         if n < 2:
             raise ValueError("need at least two points")
-        off = self.dist[~np.eye(n, dtype=bool)]
-        return float(off.min())
+        return float(_off_diagonal_min(self.dist)[0])
 
     def _check_pairs(self):
         """Finite entries, zero diagonal and symmetry within ``get_tolerance()``,
@@ -213,12 +286,11 @@ class FiniteMetricSpace:
                              % (float(D[i, j]), self.points[i], self.points[j]))
         if np.abs(np.diag(D)).max(initial=0.0) > tol:
             raise ValueError("nonzero diagonal entry in distance matrix")
-        if n and np.abs(D - D.T).max() > tol:
+        if _max_asymmetry(D) > tol:
             raise ValueError("distance matrix is not symmetric")
         if n > 1:
-            off = np.where(np.eye(n, dtype=bool), np.inf, D)
-            if off.min() <= 0:
-                i, j = divmod(int(np.argmin(off)), n)
+            low, (i, j) = _off_diagonal_min(D)
+            if low <= 0:
                 raise ValueError("non-positive distance between distinct points %r, %r"
                                  % (self.points[i], self.points[j]))
 
@@ -236,14 +308,16 @@ class FiniteMetricSpace:
     def from_coords(cls, coords):
         """Euclidean space on explicit coordinates (scalars or tuples), with the
         pair checks only: Euclidean distances of finite coordinates are a metric,
-        exactly symmetric, so the triangle scan could only fail on rounding."""
-        arr = np.asarray([c if isinstance(c, (tuple, list)) else (c,) for c in coords],
-                         dtype=float)
-        diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=-1))
+        exactly symmetric, so the triangle scan could only fail on rounding.
+        A gap whose square overflows or underflows still gets its distance."""
+        rows = [c if isinstance(c, (tuple, list)) else (c,) for c in coords]
+        if not rows:
+            raise ValueError("space has no listed points")
+        arr = np.asarray(rows, dtype=float)
+        dist = _euclidean(arr)
         points = [tuple(float(x) for x in row) if row.size > 1 else float(row[0])
                   for row in arr]
-        return cls(points, dist, validate=False)
+        return cls._adopt(points, dist)
 
     def to_json(self):
         return {
@@ -269,8 +343,8 @@ def as_finite_space(space):
     if any(isinstance(c, (tuple, list)) for c in coords):
         return FiniteMetricSpace.from_coords(coords)
     pts = [float(p) for p in coords]
-    arr = np.asarray(pts)
-    return FiniteMetricSpace(pts, np.abs(arr[:, None] - arr[None, :]), validate=False)
+    dist = np.subtract.outer(pts, pts)
+    return FiniteMetricSpace._adopt(pts, np.abs(dist, out=dist))
 
 
 def _check_spec_keys(data, kind, accepted, required):

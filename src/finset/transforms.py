@@ -130,7 +130,7 @@ def product_space(space_x, space_y):
     points = tuple(itertools.product(X.points, Y.points))
     D = np.maximum(X.dist[:, None, :, None], Y.dist[None, :, None, :])
     n = len(points)
-    return FiniteMetricSpace(points, D.reshape(n, n), validate=False)
+    return FiniteMetricSpace._adopt(points, D.reshape(n, n))
 
 
 def disjoint_union(space_x, space_y, cross):

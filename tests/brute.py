@@ -43,6 +43,56 @@ def reference_pair_checks(points, D):
                              % (points[i], points[j]))
 
 
+def reference_from_coords_dist(coords):
+    """The distance matrix of ``FiniteMetricSpace.from_coords`` as one
+    (n, n, d) difference array, squared and summed over its last axis."""
+    arr = np.asarray([c if isinstance(c, (tuple, list)) else (c,) for c in coords],
+                     dtype=float)
+    diff = arr[:, None, :] - arr[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1))
+
+
+def reference_dendrogram_dist(tree):
+    """The matrix of ``dendrogram_space``, one (p, q, height) entry per leaf
+    pair, gathered in a Python list and written entry by entry."""
+    leaves, entries = [], []
+
+    def collect(node):
+        if "children" not in node:
+            leaves.append(node["point"])
+            return [node["point"]]
+        h = float(node["merge_height"])
+        groups = [collect(child) for child in node["children"]]
+        for gi, gj in itertools.combinations(range(len(groups)), 2):
+            entries.extend((p, q, h) for p in groups[gi] for q in groups[gj])
+        return [p for g in groups for p in g]
+
+    collect(tree)
+    index = {p: i for i, p in enumerate(leaves)}
+    D = np.zeros((len(leaves), len(leaves)))
+    for p, q, h in entries:
+        D[index[p], index[q]] = D[index[q], index[p]] = h
+    return D
+
+
+def reference_quasiconvexity(space, eps):
+    """``(repr(constant), witness, connected)`` of ``quasiconvexity_constant``
+    from a dense weight matrix of the eps-graph, ratios over a masked copy."""
+    from scipy.sparse.csgraph import shortest_path
+    D, N = space.dist, len(space.points)
+    adj = np.where(D <= eps, D, 0.0)
+    np.fill_diagonal(adj, 0.0)
+    lengths = shortest_path(adj, method="D", directed=False)
+    off = ~np.eye(N, dtype=bool)
+    if np.isinf(lengths[off]).any():
+        cut = np.where(np.isinf(lengths) & off, D, np.inf)
+        i, j = np.unravel_index(int(np.argmin(cut)), cut.shape)
+        return repr(math.inf), (space.points[i], space.points[j]), False
+    ratios = np.where(off, lengths / np.where(off, D, 1.0), 0.0)
+    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    return repr(float(ratios[i, j])), (space.points[i], space.points[j]), True
+
+
 def strong_triangle(space):
     """Reference strong-triangle check as (passes, worst slack, triple).
 

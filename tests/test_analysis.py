@@ -39,7 +39,7 @@ from finset import analysis
 from finset.generators import (dendrogram_space, harmonic_space, parabola_space,
                                random_dendrogram)
 
-from brute import FamilyTable, family_table_block
+from brute import FamilyTable, family_table_block, reference_quasiconvexity
 
 
 def brute_best_ratio(f, sets, beta=1.0, d=None):
@@ -619,6 +619,25 @@ class TestQuasiconvexity:
     def test_single_point(self):
         rep = quasiconvexity_constant(RealLineSpace([1.0]), 0.5)
         assert rep.constant == 1.0 and rep.connected
+
+    def test_sparse_graph_matches_the_dense_one(self):
+        # the parabola and the rug at five radii, the rug's at its own tied
+        # edge lengths, and 20 random 60-point clouds at three radii
+        from finset.generators import rickman_rug
+        rug = rickman_rug(9)
+        cases = [(parabola_space(1, 17), eps) for eps in (0.1, 0.13, 0.2, 0.3, 1.0)]
+        cases += [(rug, eps) for eps in (0.125, 0.2, float(rug.dist[0, 1]), 0.4, 1.0)]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            cloud = FiniteMetricSpace.from_coords(rng.uniform(size=(60, 2)).tolist())
+            cases += [(cloud, eps) for eps in (0.15, 0.2, 0.3)]
+        connected = 0
+        for sp, eps in cases:
+            rep = quasiconvexity_constant(sp, eps)
+            assert (repr(rep.constant), rep.witness, rep.connected) == (
+                reference_quasiconvexity(sp, eps)), eps
+            connected += rep.connected
+        assert (len(cases), connected) == (70, 34)
 
 
 class TestObstructionWitness:

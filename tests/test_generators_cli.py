@@ -28,6 +28,8 @@ from finset.generators import (
 )
 from finset.metric import as_finite_space
 
+from brute import reference_dendrogram_dist
+
 
 class TestGenerators:
     def test_harmonic(self):
@@ -95,6 +97,27 @@ class TestGenerators:
         with pytest.raises(ValueError, match="positive"):
             dendrogram_space({"merge_height": 0.0,
                               "children": [{"point": 0}, {"point": 1}]})
+
+    def test_dendrogram_blocks_match_the_pair_list(self):
+        # binary random trees, and trees of two to four children per node
+        # with string leaves and heights that tie between levels
+        rng = np.random.default_rng(2)
+
+        def wide_tree(leaves, height):
+            if len(leaves) == 1:
+                return {"point": leaves[0]}
+            fan = min(int(rng.integers(2, 5)), len(leaves))
+            cuts = [0, *sorted(rng.choice(range(1, len(leaves)), fan - 1, replace=False)),
+                    len(leaves)]
+            below = max(0.1, round(height - rng.choice([0.0, 0.1, 0.25]), 2))
+            return {"merge_height": height,
+                    "children": [wide_tree(leaves[a:b], below) for a, b in zip(cuts, cuts[1:])]}
+
+        trees = [random_dendrogram(k, seed=k) for k in (1, 2, 3, 17, 60)]
+        trees += [wide_tree(["l%d" % i for i in range(k)], 1.0) for k in (2, 5, 30, 80)]
+        for tree in trees:
+            sp = dendrogram_space(tree)
+            assert sp.dist.tobytes() == reference_dendrogram_dist(tree).tobytes()
 
     def test_random_dendrogram_deterministic(self):
         a = dendrogram_space(random_dendrogram(8, seed=3))

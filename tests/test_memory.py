@@ -1,0 +1,70 @@
+"""Peak memory of the routines that build or read an n x n distance matrix.
+
+Each routine holds its output and at most one n x n float work array, a
+row block of at most 2 MiB; quasiconvexity_constant holds its path lengths,
+a boolean mask and its eps-graph, which scipy's undirected search copies
+once.  A boolean mask counts as 1/8 of an array, and the bounds allow 1/4
+of an array more for small arrays.  Inputs are built before tracing.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from finset import FiniteMetricSpace, RealLineSpace, quasiconvexity_constant
+from finset import metric
+from finset.generators import dendrogram_space, random_dendrogram
+from finset.metric import as_finite_space
+
+N = 600
+ARRAY = N * N * 8  # bytes of one n x n float array
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    return [tuple(p) for p in np.random.default_rng(0).uniform(size=(N, 2)).tolist()]
+
+
+def test_from_coords_peaks_at_its_matrix_and_one_work_array(cloud):
+    assert traced_peak(lambda: FiniteMetricSpace.from_coords(cloud)) <= 2.25 * ARRAY
+
+
+def test_pair_checks_peak_at_the_copy_and_one_work_array(cloud):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    points, D = sp.points, sp.dist.copy()
+    assert traced_peak(lambda: FiniteMetricSpace(points, D, validate=False)) <= 2.25 * ARRAY
+
+
+def test_line_points_peak_at_their_matrix_and_one_work_array():
+    line = RealLineSpace(np.random.default_rng(1).uniform(size=N).tolist())
+    assert traced_peak(lambda: as_finite_space(line)) <= 2.25 * ARRAY
+
+
+def test_min_positive_distance_holds_one_row_block(cloud):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    assert traced_peak(sp.min_positive_distance) <= metric._BLOCK_CELLS * 8 + ARRAY / 8
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])  # 3%, 49% and all pairs are edges
+def test_quasiconvexity_peaks_at_its_lengths_and_its_eps_graph_twice(cloud, eps):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    assert quasiconvexity_constant(sp, eps).connected  # imports scipy.sparse untraced
+    edges = int(np.count_nonzero(sp.dist <= eps)) - N
+    # the graph at 12 bytes an edge, and scipy's transpose of it
+    bound = 1.375 * ARRAY + 2 * 12 * edges
+    assert traced_peak(lambda: quasiconvexity_constant(sp, eps)) <= bound
+
+
+def test_dendrogram_space_peaks_at_its_matrix_and_one_work_array():
+    tree = random_dendrogram(N, seed=1)
+    assert traced_peak(lambda: dendrogram_space(tree)) <= 2.25 * ARRAY

@@ -26,9 +26,10 @@ from finset import (
     min_separation,
     space_from_json,
 )
+from finset import metric
 from finset.metric import as_finite_space
 
-from brute import reference_pair_checks, strong_triangle
+from brute import reference_from_coords_dist, reference_pair_checks, strong_triangle
 
 
 def brute_hausdorff(A, B, d=None):
@@ -514,3 +515,86 @@ def test_triple_scan_matches_the_per_pivot_loops():
     # integer matrices fail the triangle inequality at several pivots
     assert rejected > 80
     assert several > 20
+
+
+@pytest.mark.parametrize("cells", [metric._BLOCK_CELLS, 50])
+def test_from_coords_keeps_the_bits_of_the_summed_difference_array(cells, monkeypatch):
+    # 1 to 20 axes, coordinates from 1e-3 to 1e3 in size; 50 cells make
+    # blocks of one row, the default one block of all rows
+    monkeypatch.setattr(metric, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(11)
+    for dim in range(1, 21):
+        n = 200 if dim <= 3 else 30
+        coords = rng.uniform(-1, 1, (n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, dim))
+        points = [tuple(p) for p in coords.tolist()] if dim > 1 else coords[:, 0].tolist()
+        dist = FiniteMetricSpace.from_coords(points).dist
+        assert dist.tobytes() == reference_from_coords_dist(points).tobytes(), dim
+
+
+@pytest.mark.parametrize("far, gap", [((1e200, 0.0), 1e200), ((1e-200, 0.0), 1e-200),
+                                      ((3e-160, 4e-160), 5e-160), (-1e200, 1e200)])
+def test_from_coords_keeps_gaps_whose_squares_leave_the_float_range(far, gap):
+    # squared, these gaps overflow, underflow to 0 and go subnormal
+    origin = (0.0, 0.0) if isinstance(far, tuple) else 0.0
+    sp = FiniteMetricSpace.from_coords([origin, far])
+    assert sp.dist.tolist() == [[0.0, gap], [gap, 0.0]]
+
+
+def test_from_coords_names_an_empty_point_list():
+    with pytest.raises(ValueError, match="space has no listed points"):
+        FiniteMetricSpace.from_coords([])
+
+
+def _pair_check_matrices():
+    """Matrices for the pair-check differential: a non-finite entry, a
+    diagonal entry off zero, asymmetry, and non-positive entries whose
+    least value ties, in more than one row block."""
+    rng = np.random.default_rng(5)
+    base = []
+    for n in (2, 3, 7, 40):
+        pts = rng.normal(size=(n, 2))
+        base.append(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)))
+    tol = get_tolerance()
+    out = list(base)
+    for D in base:
+        n = len(D)
+        for i, j in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
+            for value in (math.nan, math.inf, -math.inf):
+                E = D.copy()
+                E[i, j] = value
+                out.append(E)
+            for delta in (tol / 2, 2 * tol, 1.0):
+                E = D.copy()
+                E[i, j] += delta
+                out.append(E)
+        for values in ([0.0, 0.0], [-0.0, 0.0], [-1.0, -1.0], [-1.0, -2.0, -2.0], [0.0, -0.0]):
+            E = D.copy()
+            spots = rng.choice([k for k in range(n * n) if k // n != k % n],
+                               size=min(len(values), n * n - n), replace=False)
+            for k, v in zip(spots, values):
+                i, j = divmod(int(k), n)
+                E[i, j] = E[j, i] = v
+            out.append(E)
+        E = D.copy()
+        np.fill_diagonal(E, -0.0)
+        E[0, 1] = E[1, 0] = 0.0
+        out.append(E)
+    return out
+
+
+@pytest.mark.parametrize("cells", [metric._BLOCK_CELLS, 5])
+def test_pair_checks_name_what_the_whole_matrix_checks_name(cells, monkeypatch):
+    # every message and its first offender, with one row per block or all
+    monkeypatch.setattr(metric, "_BLOCK_CELLS", cells)
+    messages = set()
+    for D in _pair_check_matrices():
+        points = ["p%d" % i for i in range(len(D))]
+        expected = _outcome(reference_pair_checks, points, D)
+        assert _outcome(FiniteMetricSpace, points, D, False) == expected, D
+        messages.add(expected and expected.split(" between")[0])
+        if expected is None:
+            off = D[~np.eye(len(D), dtype=bool)]
+            assert FiniteMetricSpace(points, D, False).min_positive_distance() == off.min()
+    assert messages == {None, "non-finite distance nan", "non-finite distance inf",
+                        "non-finite distance -inf", "nonzero diagonal entry in distance matrix",
+                        "distance matrix is not symmetric", "non-positive distance"}
