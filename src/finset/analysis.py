@@ -89,26 +89,23 @@ class _PackedFamily:
 
     ``idx`` is (num_sets, k) with each row the universe indices of one set,
     padded by repeating the first index (padding never changes Hausdorff
-    distances).  ``near`` reads distances forward, ``near[b, u]`` = d(u, b),
-    and ``far`` backward, ``far[a, u]`` = d(a, u); for line positions both
-    are the positions, read as |u - b|.  They are one array when d is
-    symmetric.
+    distances).  ``dist`` is the universe's distance matrix, exactly
+    symmetric as every ``FiniteMetricSpace`` matrix is, or its line
+    positions, read as |u - b|.
 
-    A universe of at most ``_BLOCK`` points keeps two minima tables over the
-    whole family, both (universe, num_sets) and C-contiguous:
-
-    - ``fwd[u, s]`` is the min over b in s of d(u, b);
-    - ``bwd[u, s]`` is the min over a in s of d(a, u).
+    A universe of at most ``_BLOCK`` points keeps one minima table over the
+    whole family, (universe, num_sets) and C-contiguous: ``table[u, s]`` is
+    the min over b in s of d(u, b).
 
     A larger universe, such as the image of a retraction that slides points
-    off the sample, would make those tables quadratic in the family.  It
+    off the sample, would make that table quadratic in the family.  It
     keeps instead, for each block of ``_BLOCK`` sets, the block's distinct
     points and each set's slots as indices into them, and ``directed``
     builds a (block points, ``_BLOCK``) table for each block pair it reads.
     """
 
     def __init__(self, sets, space):
-        key, lookup, dist = _universe(sets, space)
+        key, lookup, self.dist = _universe(sets, space)
         k = max(len(s) for s in sets)
         idx = np.empty((len(sets), k), dtype=np.intp)
         for row, s in enumerate(sets):
@@ -116,34 +113,28 @@ class _PackedFamily:
             idx[row, :len(cols)] = cols
             idx[row, len(cols):] = cols[0]
         self.idx = idx
-        symmetric = dist.ndim == 1 or np.array_equal(dist, dist.T)
-        self.near = dist if symmetric else dist.T
-        self.far = dist
-        if len(dist) <= _BLOCK:
-            self.fwd = _minima(self.near, slice(None), idx)
-            self.bwd = self.fwd if symmetric else _minima(self.far, slice(None), idx)
+        if len(self.dist) <= _BLOCK:
+            self.table = _minima(self.dist, slice(None), idx)
             self.blocks = None
         else:
-            self.fwd = self.bwd = None
+            self.table = None
             self.blocks = []
             for r0 in range(0, len(idx), _BLOCK):
                 block = idx[r0:r0 + _BLOCK]
                 pts, rows = np.unique(block, return_inverse=True)
                 self.blocks.append((pts, rows.reshape(block.shape)))
 
-    def directed(self, r0, c0, forward):
+    def directed(self, r0, c0):
         """Directed distances from each set of the row block at r0 to each
         set of the block at c0: for each row set, the max over its points
-        of their minima to the other set, read ``near`` forward and ``far``
-        backward.  The folds are k contiguous row gathers of a table and an
-        in-place max."""
+        of their minima to the other set.  The folds are k contiguous row
+        gathers of a table and an in-place max."""
         if self.blocks is None:
-            table = (self.fwd if forward else self.bwd)[:, c0:c0 + _BLOCK]
+            table = self.table[:, c0:c0 + _BLOCK]
             rows = self.idx[r0:r0 + _BLOCK]
         else:
             pts, rows = self.blocks[r0 // _BLOCK]
-            table = _minima(self.near if forward else self.far, pts,
-                            self.idx[c0:c0 + _BLOCK])
+            table = _minima(self.dist, pts, self.idx[c0:c0 + _BLOCK])
         out = table[rows[:, 0]]
         for c in range(1, rows.shape[1]):
             np.maximum(out, table[rows[:, c]], out=out)
@@ -171,18 +162,11 @@ def _minima(dist, pts, slots):
 
 
 def _hausdorff_block(fam, i0, j0):
-    """Hausdorff distances between the sets of the row blocks at i0 and j0.
-
-    Entry (i, j) is the float ``hausdorff(sets[i0 + i], sets[j0 + j],
-    space)`` gives.  That reads d(a, b) with a in the first set in both
-    directions, so the forward direction, from the i0 block to the j0
-    block, reads ``near`` and the backward one reads ``far``.  On a matrix
-    that is symmetric only within tolerance the two can differ in the last
-    bit.
-    """
-    forward = fam.directed(i0, j0, True)
-    backward = fam.directed(j0, i0, False)
-    return np.maximum(forward, backward.T, out=forward)
+    """Hausdorff distances between the sets of the row blocks at i0 and j0:
+    entry (i, j) is the float ``hausdorff(sets[i0 + i], sets[j0 + j],
+    space)`` gives."""
+    forward = fam.directed(i0, j0)
+    return np.maximum(forward, fam.directed(j0, i0).T, out=forward)
 
 
 def _pair_distances(sets, space):
@@ -632,7 +616,7 @@ def quasiconvexity_constant(space, eps):
     closest disconnected pair as witness.
     """
     # imported here: scipy.sparse would be two thirds of `import finset`
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import dijkstra
 
     space = as_finite_space(space)
     N = len(space.points)
@@ -641,7 +625,9 @@ def quasiconvexity_constant(space, eps):
     if N == 1:
         return QuasiconvexityReport(1.0, None, True, float(eps))
     D = space.dist
-    lengths = shortest_path(_eps_graph(D, eps), method="D", directed=False)
+    # D is exactly symmetric, so is the graph: a directed search needs no
+    # transpose of it, and dijkstra, unlike shortest_path, no checked copy
+    lengths = dijkstra(_eps_graph(D, eps))
     cut = np.isinf(lengths)
     if cut.any():
         # the closest pair with no path between them

@@ -219,7 +219,7 @@ def _triple_slacks(D, cover):
 
 
 class FiniteMetricSpace:
-    """A finite point set with an explicit symmetric distance matrix.
+    """A finite point set with an explicit, exactly symmetric distance matrix.
 
     Every construction runs the O(n^2) pair checks of ``_check_pairs``;
     ``validate``, on by default, adds the O(n^3) triangle scan ``validate()``.
@@ -275,7 +275,9 @@ class FiniteMetricSpace:
 
     def _check_pairs(self):
         """Finite entries, zero diagonal and symmetry within ``get_tolerance()``,
-        and positive distances between distinct points; raises ValueError."""
+        and positive distances between distinct points; raises ValueError.
+        A matrix that passes but is not exactly symmetric is then replaced
+        by ``np.minimum(D, D.T)``; a symmetric one is not written."""
         tol = get_tolerance()
         D = self.dist
         n = len(self.points)
@@ -286,13 +288,19 @@ class FiniteMetricSpace:
                              % (float(D[i, j]), self.points[i], self.points[j]))
         if np.abs(np.diag(D)).max(initial=0.0) > tol:
             raise ValueError("nonzero diagonal entry in distance matrix")
-        if _max_asymmetry(D) > tol:
+        asymmetry = _max_asymmetry(D)
+        if asymmetry > tol:
             raise ValueError("distance matrix is not symmetric")
         if n > 1:
             low, (i, j) = _off_diagonal_min(D)
             if low <= 0:
                 raise ValueError("non-positive distance between distinct points %r, %r"
                                  % (self.points[i], self.points[j]))
+        if asymmetry > 0:
+            # one row block at a time: a later block reads columns already
+            # written, and min(b, min(a, b)) is min(a, b)
+            for s, low in _row_blocks(n, n):
+                D[s] = np.minimum(D[s], D.T[s], out=low)
 
     def validate(self):
         """Scan the triangle inequality within ``get_tolerance()``; raises

@@ -220,17 +220,15 @@ def build_snowflake_plan(space, target_l):
 
 
 def _cophenetic(D):
-    """Single-linkage cophenetic matrix of the upper triangle of D: the
-    minimax chain distance (Gower & Ross 1969)."""
+    """Single-linkage cophenetic matrix of a symmetric D: the minimax chain
+    distance (Gower & Ross 1969)."""
     # imported here: scipy.cluster would add about 0.2 s to `import finset`
     from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
 
-    n = len(D)
-    rho = np.zeros((n, n))
-    if n > 1:
-        i, j = np.triu_indices(n, 1)
-        rho[i, j] = rho[j, i] = cophenet(linkage(D[i, j], "single"))
-    return rho
+    if len(D) < 2:
+        return np.zeros(D.shape)
+    return squareform(cophenet(linkage(squareform(D, checks=False), "single")))
 
 
 def subdominant_ultrametric(space):
@@ -239,7 +237,7 @@ def subdominant_ultrametric(space):
     inequality holds by construction, as max(a, b) <= fl(a + b) for a, b >= 0,
     so it is not scanned."""
     space = as_finite_space(space)
-    return FiniteMetricSpace(space.points, _cophenetic(space.dist), validate=False)
+    return FiniteMetricSpace._adopt(space.points, _cophenetic(space.dist))
 
 
 @dataclass(frozen=True)

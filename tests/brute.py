@@ -113,9 +113,9 @@ def strong_triangle(space):
 
 class FamilyTable:
     """The packed family before it was split into row blocks: each set's
-    point indices padded with its first, and two minima tables over all the
-    family's points, (points, sets).  ``fwd[u, s]`` is the min over b in s
-    of d(u, b) and ``bwd[u, s]`` the min over a in s of d(a, u)."""
+    point indices padded with its first, and one minima table over all the
+    family's points, (points, sets): ``table[u, s]`` is the min over b in s
+    of d(u, b)."""
 
     def __init__(self, sets, space):
         if isinstance(space, FiniteMetricSpace):
@@ -130,14 +130,13 @@ class FamilyTable:
         k = max(len(s) for s in sets)
         self.idx = np.array([[index[p] for p in s] + [index[next(iter(s))]] * (k - len(s))
                              for s in sets])
-        self.fwd = np.stack([D[:, cols].min(axis=1) for cols in self.idx], axis=1)
-        self.bwd = np.stack([D[cols, :].min(axis=0) for cols in self.idx], axis=1)
+        self.table = np.stack([D[:, cols].min(axis=1) for cols in self.idx], axis=1)
 
 
 def family_table_block(fam, i0, j0):
     """Hausdorff distances between the row blocks at i0 and j0 of a
     ``FamilyTable``, read as ``analysis._hausdorff_block`` reads them."""
     size = analysis._BLOCK
-    forward = fam.fwd[:, j0:j0 + size][fam.idx[i0:i0 + size]].max(axis=1)
-    backward = fam.bwd[:, i0:i0 + size][fam.idx[j0:j0 + size]].max(axis=1)
+    forward = fam.table[:, j0:j0 + size][fam.idx[i0:i0 + size]].max(axis=1)
+    backward = fam.table[:, i0:i0 + size][fam.idx[j0:j0 + size]].max(axis=1)
     return np.maximum(forward, backward.T)

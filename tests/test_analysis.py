@@ -192,27 +192,33 @@ class TestExhaustiveKernel:
 
 def skewed_lattice(side=3):
     # a matrix symmetric only within tolerance, as shortest paths summed in
-    # two orders give: d(a, b) is one ulp larger when a comes first
+    # two orders give: d(a, b) is one ulp larger when a comes first; the
+    # space keeps the smaller of the two
     lattice = FiniteMetricSpace.from_coords([(x, y) for x in range(side) for y in range(side)])
     D = lattice.dist.copy()
     upper = np.triu_indices(len(D), 1)
     D[upper] = np.nextafter(D[upper], np.inf)
-    return FiniteMetricSpace(lattice.points, D)
+    sp = FiniteMetricSpace(lattice.points, D)
+    assert not np.array_equal(D, D.T)
+    assert sp.dist.tobytes() == np.minimum(D, D.T).tobytes()
+    return sp
 
 
 def test_pair_distances_keep_the_orientation_of_hausdorff():
+    # the kernel reads each pair in one orientation, hausdorff in both
     sp = skewed_lattice()
     sets = enumerate_fsets(sp, 3)
     assert len(sets) == 129
     got = analysis._pair_distances(sets, sp)
     assert got.tolist() == [hausdorff(A, B, sp) for A, B in itertools.combinations(sets, 2)]
+    assert got.tolist() == [hausdorff(B, A, sp) for A, B in itertools.combinations(sets, 2)]
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("shape", ["first-two", "row-shift"])
 def test_exhaustive_search_keeps_the_orientation_of_hausdorff(shape, beta):
     # exact reference: scalar hausdorff ratios, and the first maximum in
-    # combinations order as the witness; a one-ulp difference must show
+    # combinations order as the witness, on a matrix made symmetric
     sp = skewed_lattice()
     sets = enumerate_fsets(sp, 3)
     shift = dict(zip(sp.points, sp.points[3:] + sp.points[:3]))
@@ -264,9 +270,9 @@ class TestPackedFamily:
         assert len(image_points) > analysis._BLOCK  # the images fall off the grid
         dom = analysis._PackedFamily(sets, None)
         img = analysis._PackedFamily(images, None)
-        assert dom.bwd.shape == (14, len(sets)) and dom.blocks is None
-        assert img.near.tolist() == sorted(image_points)
-        assert img.fwd is img.bwd is None
+        assert dom.table.shape == (14, len(sets)) and dom.blocks is None
+        assert img.dist.tolist() == sorted(image_points)
+        assert img.table is None
         assert len(img.blocks) == math.ceil(len(images) / analysis._BLOCK)
         for r0, (pts, rows) in zip(range(0, len(images), analysis._BLOCK), img.blocks):
             block = img.idx[r0:r0 + analysis._BLOCK]
@@ -286,7 +292,7 @@ class TestPackedFamily:
             finally:
                 tracemalloc.stop()
             if fam.blocks is None:
-                assert peak <= 3 * fam.bwd.nbytes
+                assert peak <= 3 * fam.table.nbytes
             else:
                 assert peak <= max(len(pts) for pts, _ in fam.blocks) * analysis._BLOCK * 8
 
@@ -367,7 +373,7 @@ def test_row_blocks_match_the_family_table_on_a_finite_space(skew, shape, beta, 
     # over more than _BLOCK points
     sp = skewed_lattice(12)
     if not skew:
-        sp = FiniteMetricSpace(sp.points, np.minimum(sp.dist, sp.dist.T))
+        sp = FiniteMetricSpace.from_coords(sp.points)
     sets = [A for A in enumerate_fsets(sp, 2)
             if len(A) == 1 or A.elements[0][0] < 2 and sp.d(*A.elements) < 1.5]
     assert len(sets) == 234

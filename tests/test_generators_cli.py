@@ -485,6 +485,19 @@ class TestCli:
         }
         assert json.loads(out) == cli._jsonable(expected)
 
+    def test_ultra_build_on_a_matrix_symmetric_within_tolerance(self, capsys):
+        # d(a, b) and d(b, a) differ in the last bit; the disconnection chain
+        # once took only the smaller and raised RuntimeError
+        spec = {"kind": "finite", "points": [[0.512, 0.95], [0.144, 0.949], [0.312, 0.423]],
+                "dist": [[0.0, 0.36800135869314393, 0.5636745514922595],
+                         [0.368001358693144, 0.0, 0.5521775076911409],
+                         [0.5636745514922596, 0.552177507691141, 0.0]]}
+        code, out, err = run_cli(capsys, ["ultra-build", "--space", json.dumps(spec)])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert repr(report["disconnection_constant"]) == "0.9796034009861159"
+        assert report["disconnection_witness"] == [[0.512, 0.95], [0.312, 0.423]]
+
     def test_seed_and_cap_belong_to_estimate_lip(self, capsys):
         for flag in ("--cap", "--seed"):
             with pytest.raises(SystemExit) as exc:

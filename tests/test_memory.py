@@ -2,9 +2,10 @@
 
 Each routine holds its output and at most one n x n float work array, a
 row block of at most 2 MiB; quasiconvexity_constant holds its path lengths,
-a boolean mask and its eps-graph, which scipy's undirected search copies
-once.  A boolean mask counts as 1/8 of an array, and the bounds allow 1/4
-of an array more for small arrays.  Inputs are built before tracing.
+a boolean mask and its eps-graph, which its directed search reads without
+copying it, as the matrix is exactly symmetric.  A boolean mask counts as
+1/8 of an array, and the bounds allow 1/4 of an array more for small
+arrays.  Inputs are built before tracing.
 """
 
 import tracemalloc
@@ -12,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finset import FiniteMetricSpace, RealLineSpace, quasiconvexity_constant
+from finset import (FiniteMetricSpace, RealLineSpace, quasiconvexity_constant,
+                    subdominant_ultrametric)
 from finset import metric
 from finset.generators import dendrogram_space, random_dendrogram
 from finset.metric import as_finite_space
@@ -40,9 +42,14 @@ def test_from_coords_peaks_at_its_matrix_and_one_work_array(cloud):
 
 
 def test_pair_checks_peak_at_the_copy_and_one_work_array(cloud):
+    # an exactly symmetric matrix, and one made so in place: each entry
+    # below the diagonal one ulp larger than its mirror
     sp = FiniteMetricSpace.from_coords(cloud)
-    points, D = sp.points, sp.dist.copy()
-    assert traced_peak(lambda: FiniteMetricSpace(points, D, validate=False)) <= 2.25 * ARRAY
+    points, skewed = sp.points, sp.dist.copy()
+    lower = np.tril_indices(N, -1)
+    skewed[lower] = np.nextafter(skewed[lower], np.inf)
+    for D in (sp.dist, skewed):
+        assert traced_peak(lambda: FiniteMetricSpace(points, D, validate=False)) <= 2.25 * ARRAY
 
 
 def test_line_points_peak_at_their_matrix_and_one_work_array():
@@ -56,13 +63,21 @@ def test_min_positive_distance_holds_one_row_block(cloud):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])  # 3%, 49% and all pairs are edges
-def test_quasiconvexity_peaks_at_its_lengths_and_its_eps_graph_twice(cloud, eps):
+def test_quasiconvexity_peaks_at_its_lengths_and_its_eps_graph_once(cloud, eps):
     sp = FiniteMetricSpace.from_coords(cloud)
     assert quasiconvexity_constant(sp, eps).connected  # imports scipy.sparse untraced
     edges = int(np.count_nonzero(sp.dist <= eps)) - N
-    # the graph at 12 bytes an edge, and scipy's transpose of it
-    bound = 1.375 * ARRAY + 2 * 12 * edges
+    # the graph at 12 bytes an edge; while it is built, its int64 edge
+    # index takes the place of the path lengths
+    bound = 1.375 * ARRAY + 12 * edges
     assert traced_peak(lambda: quasiconvexity_constant(sp, eps)) <= bound
+
+
+def test_subdominant_ultrametric_peaks_at_its_matrix_and_one_work_array(cloud):
+    # its output, then scipy's condensed vectors, half an array each
+    sp = FiniteMetricSpace.from_coords(cloud)
+    subdominant_ultrametric(sp)  # imports scipy.cluster untraced
+    assert traced_peak(lambda: subdominant_ultrametric(sp)) <= 2.25 * ARRAY
 
 
 def test_dendrogram_space_peaks_at_its_matrix_and_one_work_array():

@@ -593,8 +593,25 @@ def test_pair_checks_name_what_the_whole_matrix_checks_name(cells, monkeypatch):
         assert _outcome(FiniteMetricSpace, points, D, False) == expected, D
         messages.add(expected and expected.split(" between")[0])
         if expected is None:
+            sp = FiniteMetricSpace(points, D, False)
+            assert sp.dist.tobytes() == np.minimum(D, D.T).tobytes()
             off = D[~np.eye(len(D), dtype=bool)]
-            assert FiniteMetricSpace(points, D, False).min_positive_distance() == off.min()
+            assert sp.min_positive_distance() == off.min()
     assert messages == {None, "non-finite distance nan", "non-finite distance inf",
                         "non-finite distance -inf", "nonzero diagonal entry in distance matrix",
                         "distance matrix is not symmetric", "non-positive distance"}
+
+
+def test_only_an_asymmetric_matrix_is_written():
+    # an exactly symmetric matrix is kept as it is, unwritten; one that is
+    # symmetric within tolerance takes the smaller entry of each pair
+    D = FiniteMetricSpace.from_coords([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]).dist.copy()
+    D.setflags(write=False)
+    assert FiniteMetricSpace._adopt("abc", D).dist is D
+    skewed = D.copy()
+    skewed[1, 0] = np.nextafter(D[1, 0], np.inf)
+    skewed.setflags(write=False)
+    with pytest.raises(ValueError, match="read-only"):
+        FiniteMetricSpace._adopt("abc", skewed)
+    assert FiniteMetricSpace("abc", skewed).dist.tobytes() == D.tobytes()
+    assert skewed[1, 0] > skewed[0, 1]

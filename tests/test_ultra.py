@@ -369,6 +369,24 @@ class TestDisconnection:
             for u, v in zip(report.chain, report.chain[1:]):
                 assert sp.d(u, v) <= bottleneck
 
+    def test_chain_stays_under_the_bottleneck_on_skewed_clouds(self):
+        # each entry below the diagonal one ulp larger than its mirror, as
+        # two summation orders give; the space keeps the smaller, so the
+        # report is the cloud's own, and the chain never needs the larger
+        for seed in range(200):
+            cloud = random_clouds(1, 12, seed=seed)[0]
+            D = cloud.dist.copy()
+            lower = np.tril_indices(12, -1)
+            D[lower] = np.nextafter(D[lower], np.inf)
+            sp = FiniteMetricSpace(cloud.points, D)
+            report = disconnection_constant(sp)
+            assert astuple(report) == astuple(disconnection_constant(cloud))
+            a, b = report.witness
+            bottleneck = subdominant_ultrametric(sp).d(a, b)
+            assert report.chain[0] == a and report.chain[-1] == b
+            for u, v in zip(report.chain, report.chain[1:]):
+                assert sp.d(u, v) <= bottleneck
+
     def test_ultrametric_space_has_constant_one(self):
         sp = dendrogram_space(random_dendrogram(6, seed=5))
         assert disconnection_constant(sp).constant == pytest.approx(1.0)
