@@ -24,6 +24,7 @@ from .metric import (
     FSet,
     FiniteMetricSpace,
     _distance_fn,
+    _eps_graph,
     _ordered_points,
     _subset_count,
     as_finite_space,
@@ -51,7 +52,6 @@ class SubsetDomain:
 
     space: object
     n: int
-    count: int
     sets: tuple | None
 
     @classmethod
@@ -59,7 +59,7 @@ class SubsetDomain:
         cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
         count = _subset_count(len(space.points), n)
         sets = tuple(enumerate_fsets(space, n)) if count <= cap else None
-        return cls(space, n, count, sets)
+        return cls(space, n, sets)
 
     @property
     def exhaustive(self):
@@ -242,7 +242,9 @@ def _sampled_search(space, n, beta, seed, budget, image):
             return
         A, B = FSet(pts[i] for i in a), FSet(pts[i] for i in b)
         dd = hausdorff(A, B, space)
-        r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / dd ** beta
+        # sqrt, as in the exhaustive kernel: ** 0.5 is pow, which can round apart
+        denom = math.sqrt(dd) if beta == 0.5 else dd ** beta
+        r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / denom
         scored[key] = r
         if len(top) < 6:
             heapq.heappush(top, (r, key))
@@ -587,24 +589,6 @@ class QuasiconvexityReport:
     witness: tuple | None
     connected: bool
     eps: float
-
-
-def _eps_graph(D, eps):
-    """The off-diagonal entries of D within eps as a scipy CSR matrix, in
-    row-major order: the graph scipy would read from the dense matrix of
-    edge weights.  It holds 12 bytes an edge, a float weight and an int32
-    column; with int32 indices, which scipy's search runs on, the matrix
-    keeps the arrays made here instead of copying them."""
-    from scipy.sparse import csr_array
-
-    n = len(D)
-    edges = D <= eps
-    np.fill_diagonal(edges, False)
-    flat = np.flatnonzero(edges)
-    row_starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
-    weights = D.take(flat)
-    cols = np.remainder(flat, n, out=flat).astype(np.int32)
-    return csr_array((weights, cols, row_starts), shape=(n, n))
 
 
 def quasiconvexity_constant(space, eps):

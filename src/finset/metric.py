@@ -157,19 +157,41 @@ def _row_blocks(n, *shape):
         yield s, buf[:s.stop - s.start]
 
 
-def _off_diagonal_min(D):
+def _off_diagonal_min(D, over=None):
     """The least off-diagonal entry of a square matrix of two or more rows,
-    and its first (i, j) in row-major order, as ``np.argmin`` finds it with
-    the diagonal set to inf."""
+    or of ``over / D`` when ``over`` is given, and its first (i, j) in
+    row-major order, as ``np.argmin`` finds it with the diagonal set to inf."""
     n = len(D)
     low, at = np.inf, None
     for s, block in _row_blocks(n, n):
         np.copyto(block, D[s])
+        if over is not None:
+            with np.errstate(invalid="ignore"):  # 0 / 0 on the diagonal, set next
+                np.divide(over[s], block, out=block)
         block[np.arange(len(block)), np.arange(s.start, s.stop)] = np.inf
         k = int(np.argmin(block))
         if at is None or block.flat[k] < low:
             low, at = block.flat[k], (s.start + k // n, k % n)
-    return low, at
+    return float(low), at
+
+
+def _eps_graph(D, eps):
+    """The off-diagonal entries of D within eps as a scipy CSR matrix, in
+    row-major order: the graph scipy would read from the dense matrix of edge
+    weights.  It holds 12 bytes an edge, a float weight and an int32 column,
+    which scipy's searches read without a copy; its build peaks at 20 bytes
+    an edge, with the int64 edge index, once the n x n mask is freed."""
+    from scipy.sparse import csr_array
+
+    n = len(D)
+    edges = D <= eps
+    np.fill_diagonal(edges, False)
+    flat = np.flatnonzero(edges)
+    del edges
+    row_starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
+    weights = D.take(flat)
+    cols = np.remainder(flat, n, out=flat).astype(np.int32)
+    return csr_array((weights, cols, row_starts), shape=(n, n))
 
 
 def _max_asymmetry(D):
@@ -268,10 +290,9 @@ class FiniteMetricSpace:
         return float(self.dist.max()) if len(self.points) else 0.0
 
     def min_positive_distance(self):
-        n = len(self.points)
-        if n < 2:
+        if len(self.points) < 2:
             raise ValueError("need at least two points")
-        return float(_off_diagonal_min(self.dist)[0])
+        return _off_diagonal_min(self.dist)[0]
 
     def _check_pairs(self):
         """Finite entries, zero diagonal and symmetry within ``get_tolerance()``,

@@ -120,7 +120,7 @@ def rescale(space, eps):
     if not eps > 0:
         raise ValueError("scale factor must be positive")
     space = as_finite_space(space)
-    return FiniteMetricSpace(space.points, space.dist * float(eps), validate=False)
+    return FiniteMetricSpace._adopt(space.points, space.dist * float(eps))
 
 
 def product_space(space_x, space_y):

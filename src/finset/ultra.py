@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (FSet, FiniteMetricSpace, _as_fset, _check_size, _ordered_points,
-                     _triple_slacks, as_finite_space, get_tolerance)
+from .metric import (FSet, FiniteMetricSpace, _as_fset, _check_size, _eps_graph,
+                     _off_diagonal_min, _ordered_points, _triple_slacks, as_finite_space,
+                     get_tolerance)
 
 
 class LevelRangeError(ValueError):
@@ -133,7 +134,6 @@ def verify_center_family(space, family):
     tol = get_tolerance()
     pts = list(space.points)
     D, row = _matrix(space)
-    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
     for k in family.levels:
         s = family.scale(k)
         m = family.maps[k]
@@ -145,9 +145,9 @@ def verify_center_family(space, family):
         Dc = D[np.ix_(c, c)]
         close = (c[:, None] != c[None, :]) & (Dc < s - tol)
         expands = Dc > D + tol
-        # the first failing pair in row-major order over i < j; on one pair,
-        # "too close" is reported before "expands"
-        bad = (close | expands) & upper
+        # bad is symmetric with a false diagonal, as D is exactly symmetric: its
+        # first pair in row-major order has i < j; "too close" comes first
+        bad = close | expands
         if bad.any():
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             if close[i, j]:
@@ -214,7 +214,7 @@ def build_snowflake_plan(space, target_l):
     alpha = snowflake_exponent(target_l)
     # build_centers checks the strong triangle inequality, which implies the
     # triangle inequality, as max(a, b) <= fl(a + b) for a, b >= 0
-    powered = FiniteMetricSpace(space.points, space.dist ** alpha, validate=False)
+    powered = FiniteMetricSpace._adopt(space.points, space.dist ** alpha)
     family = build_centers(powered)
     return SnowflakePlan(alpha, space, powered, family, GENERIC_BOUND ** (1.0 / alpha))
 
@@ -258,23 +258,18 @@ def disconnection_constant(space):
     step at most ``constant * d(witness)``.
     """
     # imported here: scipy.sparse would be two thirds of `import finset`
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
     space = as_finite_space(space)
-    n = len(space.points)
-    if n < 2:
+    if len(space.points) < 2:
         return DisconnectionReport(1.0, None, tuple(space.points))
     rho = subdominant_ultrametric(space).dist
-    D = space.dist
-    off = ~np.eye(n, dtype=bool)
-    ratios = np.where(off, rho / np.where(off, D, 1.0), np.inf)
-    i, j = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
-    c = float(ratios[i, j])
+    c, (i, j) = _off_diagonal_min(space.dist, over=rho)
     bottleneck = rho[i, j]
+    del rho
     # with directed=True on the symmetric graph, neighbours are visited in
     # ascending index order, so the chain is the first breadth-first path
-    _, prev = breadth_first_order(csr_matrix((D <= bottleneck) & off), i,
+    _, prev = breadth_first_order(_eps_graph(space.dist, bottleneck), i,
                                   directed=True, return_predecessors=True)
     if prev[j] < 0:
         raise RuntimeError("no chain realizes the subdominant distance")

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from finset import FiniteMetricSpace, analysis, get_tolerance
+from finset import FiniteMetricSpace, analysis, get_tolerance, subdominant_ultrametric
+from finset.metric import as_finite_space
 
 
 def brute_minimax(D, i, j):
@@ -91,6 +92,54 @@ def reference_quasiconvexity(space, eps):
     ratios = np.where(off, lengths / np.where(off, D, 1.0), 0.0)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return repr(float(ratios[i, j])), (space.points[i], space.points[j]), True
+
+
+def reference_disconnection(space):
+    """``(repr(constant), witness, chain)`` of ``disconnection_constant``
+    from the dense matrix of rho / d over a masked copy, and a breadth-first
+    search on the dense boolean graph of the pairs within the bottleneck."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+    D, n = space.dist, len(space.points)
+    rho = subdominant_ultrametric(space).dist
+    off = ~np.eye(n, dtype=bool)
+    ratios = np.where(off, rho / np.where(off, D, 1.0), np.inf)
+    i, j = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
+    _, prev = breadth_first_order(csr_matrix((D <= rho[i, j]) & off), i,
+                                  directed=True, return_predecessors=True)
+    path = [j]
+    while path[-1] != i:
+        path.append(int(prev[path[-1]]))
+    chain = tuple(space.points[u] for u in reversed(path))
+    return repr(float(ratios[i, j])), (space.points[i], space.points[j]), chain
+
+
+def reference_center_check(space, family):
+    """The message ``verify_center_family`` raises, or None, with the failing
+    pairs masked to i < j before the first is taken in row-major order."""
+    tol = get_tolerance()
+    pts = list(space.points)
+    D = as_finite_space(space).dist
+    row = {p: i for i, p in enumerate(pts)}
+    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
+    for k in family.levels:
+        s = family.scale(k)
+        m = family.maps[k]
+        c = np.array([row[m[p]] for p in pts], dtype=np.intp)
+        displaced = D[np.arange(len(pts)), c] > s + tol
+        if displaced.any():
+            p = pts[int(np.argmax(displaced))]
+            return "level %d: point %r displaced beyond %g" % (k, p, s)
+        Dc = D[np.ix_(c, c)]
+        close = (c[:, None] != c[None, :]) & (Dc < s - tol)
+        expands = Dc > D + tol
+        bad = (close | expands) & upper
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            if close[i, j]:
+                return "level %d: centers %r, %r too close" % (k, m[pts[i]], m[pts[j]])
+            return "level %d: map expands pair %r, %r" % (k, pts[i], pts[j])
+    return None
 
 
 def strong_triangle(space):

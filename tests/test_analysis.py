@@ -135,6 +135,17 @@ class TestEstimateConstant:
         assert rep.witness == (FSet([11, 33, 37]), FSet([11, 37]))
         assert (rep.pairs_examined, rep.stop_reason) == (1740, "stale")
 
+    def test_sampled_and_exhaustive_take_one_square_root(self):
+        # 9.26 ** 0.5 and sqrt(9.26) differ by an ulp, and so did the
+        # constants of the one pair, sampled and exhaustive
+        sp = RealLineSpace([0, 9.26])
+        f = lambda A: line_retract(A, 1)
+        sampled = estimate_constant(f, SubsetDomain.build(sp, 1, cap=1), hoelder_exponent=0.5)
+        exhaustive = estimate_constant(f, SubsetDomain.build(sp, 1), hoelder_exponent=0.5)
+        assert (sampled.mode, exhaustive.mode) == ("sampled", "exhaustive")
+        assert sampled.witness == exhaustive.witness == (FSet([0]), FSet([9.26]))
+        assert repr(sampled.constant) == repr(exhaustive.constant) == "3.0430248109405875"
+
     def test_invalid_exponent(self):
         dom = SubsetDomain.build(RealLineSpace([0.0, 1.0]), 2)
         for beta in (0.0, 1.5, -1.0):

@@ -3,9 +3,11 @@
 Each routine holds its output and at most one n x n float work array, a
 row block of at most 2 MiB; quasiconvexity_constant holds its path lengths,
 a boolean mask and its eps-graph, which its directed search reads without
-copying it, as the matrix is exactly symmetric.  A boolean mask counts as
-1/8 of an array, and the bounds allow 1/4 of an array more for small
-arrays.  Inputs are built before tracing.
+copying it, as the matrix is exactly symmetric; disconnection_constant holds
+the subdominant matrix rho, one row block of rho / d and then the same
+eps-graph at the bottleneck.  A boolean mask counts as 1/8 of an array, and
+the bounds allow 1/4 of an array more for small arrays.  Inputs are built
+before tracing.
 """
 
 import tracemalloc
@@ -13,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finset import (FiniteMetricSpace, RealLineSpace, quasiconvexity_constant,
-                    subdominant_ultrametric)
+from finset import (FiniteMetricSpace, RealLineSpace, disconnection_constant,
+                    quasiconvexity_constant, rescale, subdominant_ultrametric)
 from finset import metric
 from finset.generators import dendrogram_space, random_dendrogram
 from finset.metric import as_finite_space
@@ -67,10 +69,26 @@ def test_quasiconvexity_peaks_at_its_lengths_and_its_eps_graph_once(cloud, eps):
     sp = FiniteMetricSpace.from_coords(cloud)
     assert quasiconvexity_constant(sp, eps).connected  # imports scipy.sparse untraced
     edges = int(np.count_nonzero(sp.dist <= eps)) - N
-    # the graph at 12 bytes an edge; while it is built, its int64 edge
-    # index takes the place of the path lengths
-    bound = 1.375 * ARRAY + 12 * edges
+    # the path lengths beside the graph at 12 bytes an edge or beside one
+    # boolean mask, or the graph's build at 20 bytes an edge, its int64 edge
+    # index included; 1/16 of an array is left for small arrays, too little
+    # for an n x n mask kept alive through the build
+    bound = max(1.125 * ARRAY, ARRAY + 12 * edges, 20 * edges) + ARRAY / 16
     assert traced_peak(lambda: quasiconvexity_constant(sp, eps)) <= bound
+
+
+def test_disconnection_peaks_at_rho_one_row_block_and_its_eps_graph(cloud):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    report = disconnection_constant(sp)  # imports scipy untraced
+    a, b = (sp.index(p) for p in report.witness)
+    bottleneck = subdominant_ultrametric(sp).dist[a, b]
+    edges = int(np.count_nonzero(sp.dist <= bottleneck)) - N
+    assert traced_peak(lambda: disconnection_constant(sp)) <= 2.25 * ARRAY + 12 * edges
+
+
+def test_rescale_peaks_at_its_matrix_and_one_work_array(cloud):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    assert traced_peak(lambda: rescale(sp, 3.0)) <= 2.25 * ARRAY
 
 
 def test_subdominant_ultrametric_peaks_at_its_matrix_and_one_work_array(cloud):

@@ -27,7 +27,8 @@ from finset import (
 )
 from finset.generators import cantor_space, dendrogram_space, random_dendrogram
 
-from brute import brute_minimax, reference_pair_checks, strong_triangle
+from brute import (brute_minimax, reference_center_check, reference_disconnection,
+                   reference_pair_checks, strong_triangle)
 
 
 def lattice_cloud():
@@ -168,6 +169,38 @@ class TestCenterFamily:
         for space, bad, message in cases:
             with pytest.raises(ValueError, match=message):
                 verify_center_family(space, bad)
+
+    def test_verify_names_the_first_pair_the_upper_triangle_names(self):
+        # at scale 2 on 0, 0.5, 1.5: centers too close, a map that expands,
+        # and both on the pair 0, 0.5 when it goes to 0, 1.5
+        line = RealLineSpace([0, 0.5, 1.5])
+        cases = [(line, {0: 0, 0.5: 0.5, 1.5: 1.5}, "level -1: centers 0, 0.5 too close"),
+                 (RealLineSpace([0, 1, 3]), {0: 0, 1: 3, 3: 3},
+                  "level -1: map expands pair 0, 1"),
+                 (line, {0: 0, 0.5: 1.5, 1.5: 1.5}, "level -1: centers 0, 1.5 too close")]
+        cases = [(sp, CenterFamily((-1,), {-1: tau}), message) for sp, tau, message in cases]
+        # one point of a level's map sent to another point
+        rng = np.random.default_rng(0)
+        for seed in range(60):
+            sp = dendrogram_space(random_dendrogram(7, seed=seed))
+            fam = build_centers(sp)
+            k = fam.levels[seed % len(fam.levels)]
+            tau = dict(fam.maps[k])
+            p, q = (sp.points[i] for i in rng.choice(len(sp.points), 2))
+            tau[p] = q
+            cases.append((sp, CenterFamily((k,), {k: tau}), None))
+        outcomes = []
+        for space, family, message in cases:
+            want = reference_center_check(space, family)
+            assert message is None or want == message
+            try:
+                verify_center_family(space, family)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            assert outcomes[-1] == want
+        kinds = {o and o.split()[2] for o in outcomes}
+        assert kinds == {None, "point", "centers", "map"}
 
 
 class TestGenericRetract:
@@ -372,7 +405,8 @@ class TestDisconnection:
     def test_chain_stays_under_the_bottleneck_on_skewed_clouds(self):
         # each entry below the diagonal one ulp larger than its mirror, as
         # two summation orders give; the space keeps the smaller, so the
-        # report is the cloud's own, and the chain never needs the larger
+        # report is the cloud's own, and the chain never needs the larger.
+        # Both match the reference's dense ratio matrix and dense graph.
         for seed in range(200):
             cloud = random_clouds(1, 12, seed=seed)[0]
             D = cloud.dist.copy()
@@ -381,6 +415,9 @@ class TestDisconnection:
             sp = FiniteMetricSpace(cloud.points, D)
             report = disconnection_constant(sp)
             assert astuple(report) == astuple(disconnection_constant(cloud))
+            for space in (cloud, sp):
+                assert reference_disconnection(space) == (
+                    repr(report.constant), report.witness, report.chain)
             a, b = report.witness
             bottleneck = subdominant_ultrametric(sp).d(a, b)
             assert report.chain[0] == a and report.chain[-1] == b
