@@ -196,6 +196,12 @@ def _universe(sets, space):
     return float, {v: u for u, v in enumerate(vals)}, np.array(vals)
 
 
+def _power(h, beta):
+    """h ** beta, one rounding for both searches: on one float ``**`` is libm's
+    pow, which can differ from the array loop that ``np.power`` runs even there."""
+    return h if beta == 1.0 else np.sqrt(h) if beta == 0.5 else np.power(h, beta)
+
+
 def _exhaustive_search(sets, images, space, beta):
     dom = _PackedFamily(sets, space)
     img = _PackedFamily(images, space)
@@ -206,20 +212,14 @@ def _exhaustive_search(sets, images, space, beta):
         for j0 in range(i0, N, _BLOCK):
             Hd = _hausdorff_block(dom, i0, j0)
             Hi = _hausdorff_block(img, i0, j0)
-            mask = Hd > 0
-            denom = Hd
-            if beta == 0.5:
-                denom = np.sqrt(Hd)
-            elif beta != 1.0:
-                denom = np.power(Hd, beta, out=np.ones_like(Hd), where=mask)
-            R = np.divide(Hi, denom, out=np.full_like(Hi, -np.inf), where=mask)
+            R = np.divide(Hi, _power(Hd, beta), out=np.full_like(Hi, -np.inf), where=Hd > 0)
             if i0 == j0:
                 R[np.tril_indices(len(R))] = -np.inf
-            peak = float(R.max())
+            li, lj = divmod(int(np.argmax(R)), R.shape[1])  # R holds no NaN
+            peak = float(R[li, lj])
             if peak < best or peak == -math.inf:
                 continue
-            li, lj = np.argwhere(R == peak)[0]
-            cand = (i0 + int(li), j0 + int(lj))
+            cand = (i0 + li, j0 + lj)
             if peak > best or cand < arg:
                 best, arg = peak, cand
     if arg is None:
@@ -242,8 +242,7 @@ def _sampled_search(space, n, beta, seed, budget, image):
             return
         A, B = FSet(pts[i] for i in a), FSet(pts[i] for i in b)
         dd = hausdorff(A, B, space)
-        # sqrt, as in the exhaustive kernel: ** 0.5 is pow, which can round apart
-        denom = math.sqrt(dd) if beta == 0.5 else dd ** beta
+        denom = float(_power(float(dd), beta))
         r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / denom
         scored[key] = r
         if len(top) < 6:
@@ -309,7 +308,8 @@ def _sampled_search(space, n, beta, seed, budget, image):
     peak = max(scored.values(), default=-math.inf)
     if peak == -math.inf:
         raise ValueError("all sampled pairs are at distance 0")
-    a, b = min(key for key, r in scored.items() if r == peak)
+    # the kernel's tie rule: the least pair in enumerate_fsets order, earlier set first
+    (_, a), (_, b) = min(sorted((len(t), t) for t in k) for k, r in scored.items() if r == peak)
     stop = "budget" if len(scored) >= budget else "stale"
     return peak, (FSet(pts[i] for i in a), FSet(pts[i] for i in b)), len(scored), stop
 

@@ -127,6 +127,8 @@ def _retraction(name, space, n, m, target_l):
             raise ValueError("interval-union retraction needs an interval_union space")
         expansion = line.build_gap_expansion(space, n)
         return lambda A: line.interval_union_retract(space, A, n, expansion=expansion)
+    if name in ("generic", "snowflake") and space is None:
+        raise ValueError("%s retraction needs a --space" % name)
     if name == "generic":
         family = ultra.build_centers(space)
         return lambda A: ultra.generic_retract(family, A, n, m)
@@ -156,7 +158,7 @@ def _cmd_validate(args):
 def _cmd_hausdorff(args):
     space = _load_space(args.space) if args.space else None
     A, B = _parse_set(args.a), _parse_set(args.b)
-    return {"a": A, "b": B, "distance": hausdorff(A, B, space)}
+    return {"a": A, "b": B, "distance": hausdorff(A, B, _domain_space(space))}
 
 
 def _cmd_retract(args):
@@ -166,7 +168,7 @@ def _cmd_retract(args):
     m = args.m if args.m is not None else n - 1
     f = _retraction(args.map, space, n, m, args.target_l)
     out = f(A)
-    dom = _domain_space(space) if space is not None else None
+    dom = _domain_space(space)
     return {
         "map": args.map,
         "n": n,

@@ -237,7 +237,8 @@ def _triple_slacks(D, cover):
     for z in range(n):
         cover(D[:, z, None], D[z], out=buf)
         np.subtract(D, buf, out=buf)
-        yield buf.max(), divmod(int(np.argmax(buf)), n), z
+        k = int(np.argmax(buf))  # no NaN: the pair checks passed D
+        yield buf.flat[k], divmod(k, n), z
 
 
 class FiniteMetricSpace:
@@ -363,10 +364,14 @@ def as_finite_space(space):
     ``points``, or a plain sequence of coordinates.  Tuple points go
     through ``from_coords``; scalar points lie on the line at distance
     exactly ``|x - y|``, which is a metric too, so only the pair checks run.
+    Anything else, such as an interval union, raises ValueError.
     """
     if isinstance(space, FiniteMetricSpace):
         return space
-    coords = list(getattr(space, "points", space))
+    try:
+        coords = list(getattr(space, "points", space))
+    except TypeError:
+        raise ValueError("%s has no listed points" % type(space).__name__) from None
     if not coords:
         raise ValueError("space has no listed points")
     if any(isinstance(c, (tuple, list)) for c in coords):

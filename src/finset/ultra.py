@@ -109,16 +109,15 @@ def build_centers(space, levels=None):
         raise ValueError("at least one level is required")
     order = _ordered_points(space)
     D, row = _matrix(space)
-    perm = [row[p] for p in order]
-    D = D[np.ix_(perm, perm)]
+    rows = [row[p] for p in order]
     maps = {}
     for k in levels:
         scale = 0.5 ** k
         owner = np.full(len(order), -1)
-        for c in range(len(order)):
+        for c in rows:
             if owner[c] < 0:
                 owner[(owner < 0) & (D[c] < scale)] = c
-        maps[k] = {p: order[c] for p, c in zip(order, owner.tolist())}
+        maps[k] = {p: space.points[c] for p, c in zip(order, owner[rows].tolist())}
     family = CenterFamily(levels, maps)
     verify_center_family(space, family)
     return family
@@ -134,6 +133,7 @@ def verify_center_family(space, family):
     tol = get_tolerance()
     pts = list(space.points)
     D, row = _matrix(space)
+    D_tol = D + tol
     for k in family.levels:
         s = family.scale(k)
         m = family.maps[k]
@@ -142,9 +142,9 @@ def verify_center_family(space, family):
         if displaced.any():
             p = pts[int(np.argmax(displaced))]
             raise ValueError("level %d: point %r displaced beyond %g" % (k, p, s))
-        Dc = D[np.ix_(c, c)]
+        Dc = D.take(c, 0).take(c, 1)
         close = (c[:, None] != c[None, :]) & (Dc < s - tol)
-        expands = Dc > D + tol
+        expands = Dc > D_tol
         # bad is symmetric with a false diagonal, as D is exactly symmetric: its
         # first pair in row-major order has i < j; "too close" comes first
         bad = close | expands

@@ -132,19 +132,9 @@ class TestEstimateConstant:
         rep = estimate_constant(lambda A: generic_retract(family, A, 3, 2), dom,
                                 hoelder_exponent=0.5, seed=3, pair_budget=3000)
         assert repr(rep.constant) == "1.2834355260239558"
-        assert rep.witness == (FSet([11, 33, 37]), FSet([11, 37]))
+        # earlier set first, in enumerate_fsets order, as the kernel reports it
+        assert rep.witness == (FSet([11, 37]), FSet([11, 33, 37]))
         assert (rep.pairs_examined, rep.stop_reason) == (1740, "stale")
-
-    def test_sampled_and_exhaustive_take_one_square_root(self):
-        # 9.26 ** 0.5 and sqrt(9.26) differ by an ulp, and so did the
-        # constants of the one pair, sampled and exhaustive
-        sp = RealLineSpace([0, 9.26])
-        f = lambda A: line_retract(A, 1)
-        sampled = estimate_constant(f, SubsetDomain.build(sp, 1, cap=1), hoelder_exponent=0.5)
-        exhaustive = estimate_constant(f, SubsetDomain.build(sp, 1), hoelder_exponent=0.5)
-        assert (sampled.mode, exhaustive.mode) == ("sampled", "exhaustive")
-        assert sampled.witness == exhaustive.witness == (FSet([0]), FSet([9.26]))
-        assert repr(sampled.constant) == repr(exhaustive.constant) == "3.0430248109405875"
 
     def test_invalid_exponent(self):
         dom = SubsetDomain.build(RealLineSpace([0.0, 1.0]), 2)
@@ -157,6 +147,49 @@ class TestEstimateConstant:
             estimate_constant(lambda A: A, [FSet((0.0,))])
         with pytest.raises(ValueError, match="distance 0"):
             estimate_constant(lambda A: A, [FSet((0.0,)), FSet((0.0,))])
+
+
+def tree_case(seed):
+    tree = dendrogram_space(random_dendrogram(7, seed=seed))
+    family = build_centers(tree)
+    return tree, 3, lambda A: generic_retract(family, A, 3, 2)
+
+
+def uniform_case(seed):
+    points = np.round(np.random.default_rng(seed).uniform(0, 1, 7), 3).tolist()
+    return RealLineSpace(points), 3, lambda A: line_retract(A, 3)
+
+
+# domains whose sampled search, at a budget of a million pairs, scores them all
+COMPLETE_SEARCHES = {
+    "harmonic6-delete-min": lambda: (harmonic_space(6), 3, lambda A: delete_min_retract(A, 3)),
+    "harmonic5-line": lambda: (harmonic_space(5), 3, lambda A: line_retract(A, 3)),
+    "range6-line": lambda: (RealLineSpace(range(6)), 3, lambda A: line_retract(A, 3)),
+    "range6-median": lambda: (RealLineSpace(range(6)), 3, lambda A: median_retract(A, 3)),
+    "range5-identity": lambda: (RealLineSpace(range(5)), 2, lambda A: A),
+    **{"uniform%d-line" % s: functools.partial(uniform_case, s) for s in range(6)},
+    **{"tree%d-generic" % s: functools.partial(tree_case, s) for s in range(6)},
+    # a float's ** puts each pair an ulp from the kernel: 9.26 ** 0.5 against
+    # sqrt(9.26), and on AVX-512 CPUs 1.85 ** 0.75 against np.power(1.85, 0.75)
+    "two-points-9.26": lambda: (RealLineSpace([0, 9.26]), 1, lambda A: line_retract(A, 1)),
+    "two-points-1.85": lambda: (RealLineSpace([0, 1.85]), 1, lambda A: line_retract(A, 1)),
+}
+
+
+@pytest.mark.parametrize("case, beta", [
+    (case, beta) for case in COMPLETE_SEARCHES if not case.startswith("two-points")
+    for beta in (1.0, 0.5, 0.75, 0.3)] + [("two-points-9.26", 0.5), ("two-points-1.85", 0.75)])
+def test_complete_sampled_search_reports_the_exhaustive_certificate(case, beta):
+    # one pair rule: both searches divide by analysis._power, and among tied
+    # pairs both name the least in enumerate_fsets order, earlier set first
+    space, n, f = COMPLETE_SEARCHES[case]()
+    exhaustive = estimate_constant(f, SubsetDomain.build(space, n), hoelder_exponent=beta)
+    sampled = estimate_constant(f, SubsetDomain.build(space, n, cap=1), hoelder_exponent=beta,
+                                pair_budget=10 ** 6)
+    assert (sampled.mode, exhaustive.mode) == ("sampled", "exhaustive")
+    assert sampled.pairs_examined == exhaustive.pairs_examined
+    assert repr(sampled.constant) == repr(exhaustive.constant)
+    assert sampled.witness == exhaustive.witness
 
 
 def assert_kernel_matches_brute(f, sets, beta, space=None):

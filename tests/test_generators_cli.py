@@ -267,6 +267,9 @@ class TestGenerate:
             generate({"kind": "dendrogram", **spec})
 
 
+UNION = '{"kind": "interval_union", "intervals": [[0, 1], [3, 4]]}'
+
+
 def run_cli(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
@@ -543,6 +546,28 @@ class TestCli:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ValueError", "message": message}
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, report", [
+        (["hausdorff", "--space", UNION, "--a", "[0]", "--b", "[3]"], 0,
+         {"a": [0], "b": [3], "distance": 3}),
+        (["quasiconvexity", "--space", UNION, "--eps", "0.5"], 1,
+         {"error": "ValueError", "message": "IntervalUnion has no listed points"}),
+        (["transform", "--space", UNION, "--transform", '{"kind": "power", "alpha": 0.5}'], 1,
+         {"error": "ValueError", "message": "IntervalUnion has no listed points"}),
+        (["ultra-build", "--space", UNION], 1,
+         {"error": "ValueError", "message": "IntervalUnion has no listed points"}),
+        (["retract", "--map", "generic", "--set", "[0, 1]", "--n", "2"], 1,
+         {"error": "ValueError", "message": "generic retraction needs a --space"}),
+        (["retract", "--map", "snowflake", "--set", "[0, 1]", "--n", "2"], 1,
+         {"error": "ValueError", "message": "snowflake retraction needs a --space"}),
+    ], ids=["hausdorff-union", "quasiconvexity-union", "transform-union", "ultra-build-union",
+            "generic-no-space", "snowflake-no-space"])
+    def test_spaces_a_command_cannot_read_fail_typed(self, capsys, argv, code, report):
+        # a Hausdorff distance on an interval union is measured on its grid;
+        # the other commands need listed points, or a space, and say so
+        got, out, err = run_cli(capsys, argv)
+        assert got == code
+        assert json.loads(err if code else out) == report
 
     def test_space_file_input(self, capsys, tmp_path):
         spec = tmp_path / "space.json"
