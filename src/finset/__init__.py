@@ -24,7 +24,6 @@ from .analysis import (
 )
 from .line import (
     GapExpansion,
-    HarmonicSet,
     IntervalUnion,
     PiecewiseLinearMap,
     build_gap_expansion,
@@ -32,8 +31,6 @@ from .line import (
     interval_union_retract,
     line_retract,
     median_retract,
-    rank_below,
-    signed_rank,
 )
 from .metric import (
     DEFAULT_ENUMERATION_CAP,
@@ -48,7 +45,6 @@ from .metric import (
     get_tolerance,
     hausdorff,
     match_bijection,
-    match_order_preserving,
     min_separation,
     space_from_json,
 )
@@ -58,8 +54,6 @@ from .transforms import (
     QhModulus,
     apply_transform,
     check_induced_qh,
-    conjugated_map,
-    disjoint_union,
     estimate_qh_modulus,
     induced_subset_map,
     product_space,

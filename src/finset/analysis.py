@@ -289,7 +289,14 @@ def _sampled_search(space, n, beta, seed, budget, image):
                     yield (dropped, s) if flipped else (s, dropped)
 
     # fewer distinct pairs than half the budget would never end the loop
-    explore = min(budget // 2, math.comb(_subset_count(N, n), 2))
+    pairs = math.comb(_subset_count(N, n), 2)
+    explore = min(budget // 2, pairs)
+    if explore == pairs:
+        # the budget covers the domain: score each pair once, in enumerate_fsets
+        # order, rather than draw random pairs until every one has come up
+        sets = [t for k in range(1, n + 1) for t in itertools.combinations(range(N), k)]
+        for a, b in itertools.combinations(sets, 2):
+            score(a, b)
     while len(scored) < explore:
         a = random_subset()
         b = mutate(a) if rng.random() < 0.7 else random_subset()

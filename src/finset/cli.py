@@ -21,6 +21,7 @@ from .metric import (
     FSet,
     RealLineSpace,
     as_finite_space,
+    get_tolerance,
     hausdorff,
     min_separation,
 )
@@ -49,11 +50,18 @@ def _load_space(text):
     return generators.generate(_load_spec(text))
 
 
-def _parse_set(text):
+def _parse_set(text, space):
+    """A JSON list of points as an FSet.  Given a space, each point must lie in
+    it: within ``get_tolerance()`` in an interval union, exactly in listed points."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("a set must be a JSON list of points")
-    return FSet(tuple(p) if isinstance(p, list) else p for p in data)
+    A = FSet(tuple(p) if isinstance(p, list) else p for p in data)
+    for p in A if space is not None else ():
+        if not (space.contains(p, get_tolerance()) if isinstance(space, line.IntervalUnion)
+                else p in space.points):
+            raise ValueError("point %r is not in the space" % (p,))
+    return A
 
 
 def _jsonable(obj):
@@ -157,13 +165,13 @@ def _cmd_validate(args):
 
 def _cmd_hausdorff(args):
     space = _load_space(args.space) if args.space else None
-    A, B = _parse_set(args.a), _parse_set(args.b)
+    A, B = _parse_set(args.a, space), _parse_set(args.b, space)
     return {"a": A, "b": B, "distance": hausdorff(A, B, _domain_space(space))}
 
 
 def _cmd_retract(args):
     space = _load_space(args.space) if args.space else None
-    A = _parse_set(args.set)
+    A = _parse_set(args.set, space)
     n = args.n
     m = args.m if args.m is not None else n - 1
     f = _retraction(args.map, space, n, m, args.target_l)

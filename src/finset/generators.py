@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .line import HarmonicSet, IntervalUnion
+from .line import IntervalUnion
 from .metric import FiniteMetricSpace, RealLineSpace, _check_spec_keys, space_from_json
 from .transforms import product_space
 
@@ -32,7 +32,10 @@ def _count(name, value):
 
 def harmonic_space(K):
     """{0} ∪ {1/k : 1 ≤ k ≤ K} on the real line."""
-    return RealLineSpace(HarmonicSet(_count("K", K)).points())
+    K = _count("K", K)
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    return RealLineSpace([0.0] + [1.0 / k for k in range(K, 0, -1)])
 
 
 def cantor_points(ratio=1.0 / 3.0, depth=2):

@@ -20,11 +20,6 @@ def _distinct_sorted(A, n):
     return _check_size(tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A))), n)
 
 
-def rank_below(A, x):
-    """Number of elements of A strictly below x."""
-    return sum(1 for a in A if a < x)
-
-
 def signed_rank(A, x):
     """Half the count of elements above x minus the count below."""
     return sum((y > x) - (y < x) for y in A) / 2
@@ -48,10 +43,11 @@ def _slide(A, n, ranks, failure):
 def line_retract(A, n):
     """Collapse the closest pair of an n-point line set by sliding left.
 
-    Each x in A moves to ``x - delta * rank_below(A, x)`` where delta is the
-    minimum separation.  Sets with fewer than n points are fixed, the minimum
-    never moves, the maximum never increases, and exact (integer or rational)
-    inputs give exact outputs, so additive subgroups are preserved.
+    Each x in A moves to ``x - delta * r``, r the number of points of A below
+    x and delta the minimum separation.  Sets with fewer than n points are
+    fixed, the minimum never moves, the maximum never increases, and exact
+    (integer or rational) inputs give exact outputs, so additive subgroups are
+    preserved.
     """
     return _slide(A, n, lambda pts: range(len(pts)),
                   "closest pair failed to collapse; input scale defeats the merge tolerance")
@@ -235,30 +231,6 @@ def interval_union_retract(X, A, n, expansion=None):
     if len(out) > n - 1:
         raise ArithmeticError("projection re-split the collapsed pair")
     return out
-
-
-@dataclass(frozen=True)
-class HarmonicSet:
-    """The set {0} u {1/k : 1 <= k <= K}; ``K=None`` means untruncated."""
-
-    K: int | None = None
-
-    def points(self):
-        if self.K is None:
-            raise ValueError("the untruncated set cannot be listed")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        return [0.0] + [1.0 / k for k in range(self.K, 0, -1)]
-
-    def contains(self, x, tol=1e-12):
-        if x == 0:
-            return True
-        if x <= 0 or x > 1:
-            return False
-        k = round(1 / x)
-        if k < 1 or (self.K is not None and k > self.K):
-            return False
-        return abs(x - 1 / k) <= tol
 
 
 def delete_min_retract(A, n):

@@ -548,20 +548,6 @@ def _sort_key(p):
     return (type(p).__name__, p) if not isinstance(p, numbers.Real) else ("", p)
 
 
-def _separated(a_pts, b_pts, space=None):
-    """The size and separation precondition of match_bijection; returns
-    hausdorff(A, B) and min_separation(A)."""
-    if len(a_pts) != len(b_pts):
-        raise ValueError("sets must have equal size")
-    n = len(a_pts)
-    dh = hausdorff(a_pts, b_pts, space)
-    da = min_separation(a_pts, n, space)
-    db = min_separation(b_pts, n, space)
-    if not max(da, db) > 2 * dh:
-        raise ValueError("sets are not separated enough for a canonical matching")
-    return dh, da
-
-
 def _verify_matching(pairs, a_pts, b_pts, bound, space):
     d = _distance_fn(space)
     tol = get_tolerance()
@@ -584,7 +570,14 @@ def match_bijection(A, B, space=None):
     verified before returning, within ``get_tolerance()``.
     """
     a_pts, b_pts = tuple(A), tuple(B)
-    dh, da = _separated(a_pts, b_pts, space)
+    if len(a_pts) != len(b_pts):
+        raise ValueError("sets must have equal size")
+    n = len(a_pts)
+    dh = hausdorff(a_pts, b_pts, space)
+    da = min_separation(a_pts, n, space)
+    db = min_separation(b_pts, n, space)
+    if not max(da, db) > 2 * dh:
+        raise ValueError("sets are not separated enough for a canonical matching")
     d = _distance_fn(space)
     if da > 2 * dh:
         pairs = tuple((x, min(b_pts, key=lambda y: (d(x, y), _sort_key(y)))) for x in a_pts)
@@ -592,25 +585,6 @@ def match_bijection(A, B, space=None):
         pairs = tuple((min(a_pts, key=lambda x: (d(x, y), _sort_key(x))), y) for y in b_pts)
         pairs = tuple(sorted(pairs, key=lambda p: _sort_key(p[0])))
     _verify_matching(pairs, a_pts, b_pts, dh, space)
-    return pairs
-
-
-def match_order_preserving(A, B):
-    """Order-preserving bijection between well-separated line sets.
-
-    Same precondition as match_bijection; on the line the canonical matching
-    pairs the sorted elements in order, and deleting the minima of both sets
-    does not increase their Hausdorff distance.
-    """
-    tol = get_tolerance()
-    a_pts, b_pts = tuple(sorted(A)), tuple(sorted(B))
-    dh, _ = _separated(a_pts, b_pts)
-    pairs = tuple(zip(a_pts, b_pts))
-    for a, b in pairs:
-        if abs(a - b) > dh + tol:
-            raise MatchingError(
-                "order-preserving pair (%r, %r) displaced beyond the Hausdorff distance"
-                % (a, b))
     return pairs
 
 

@@ -1,6 +1,6 @@
 """Metric transforms and constructions: snowflaking and other concave
-distance rewrites, rescaling, max-metric products, disjoint unions with a
-constant cross-distance, and quasihomogeneous transport of subset maps.
+distance rewrites, rescaling, max-metric products, and quasihomogeneous
+transport of subset maps.
 """
 
 from __future__ import annotations
@@ -133,35 +133,12 @@ def product_space(space_x, space_y):
     return FiniteMetricSpace._adopt(points, D.reshape(n, n))
 
 
-def disjoint_union(space_x, space_y, cross):
-    """Glue two spaces with a constant cross-distance.
-
-    Points are tagged (0, x) and (1, y).  The triangle inequality holds when
-    cross is at least half of each diameter; the returned space is fully
-    revalidated, so a cross-distance that is too small raises.
-    """
-    X, Y = as_finite_space(space_x), as_finite_space(space_y)
-    points = tuple((0, p) for p in X.points) + tuple((1, q) for q in Y.points)
-    a, b = len(X.points), len(Y.points)
-    D = np.full((a + b, a + b), float(cross))
-    D[:a, :a] = X.dist
-    D[a:, a:] = Y.dist
-    return FiniteMetricSpace(points, D)
-
-
 def induced_subset_map(f, A):
     """Apply a point map elementwise to a subset; must stay injective on A."""
     out = FSet(f(p) for p in A)
     if len(out) != len(A):
         raise ValueError("map is not injective on %r" % (A,))
     return out
-
-
-def conjugated_map(point_map, inverse_map, set_map):
-    """The subset map B ↦ f(r(f⁻¹(B))) induced by conjugating r through f."""
-    def apply(B):
-        return induced_subset_map(point_map, set_map(induced_subset_map(inverse_map, B)))
-    return apply
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ class TestGenerators:
         sp = harmonic_space(3)
         assert sp.points == [0.0, 1 / 3, 0.5, 1.0]
 
+    def test_harmonic_needs_a_point(self):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            harmonic_space(0)
+
     def test_cantor_frozen(self):
         assert cantor_points(1 / 3, 2) == pytest.approx([0.0, 2 / 9, 2 / 3, 8 / 9])
         assert cantor_points(depth=0) == [0.0]
@@ -568,6 +572,20 @@ class TestCli:
         got, out, err = run_cli(capsys, argv)
         assert got == code
         assert json.loads(err if code else out) == report
+
+    @pytest.mark.parametrize("argv, point", [
+        (["hausdorff", "--space", '{"kind": "line", "points": [0, 1]}',
+          "--a", "[0]", "--b", "[7]"], "7"),
+        (["retract", "--map", "line", "--space", UNION, "--set", "[0, 2]", "--n", "2"], "2"),
+        (["hausdorff", "--space",
+          '{"kind": "finite", "points": ["a", "b"], "dist": [[0, 1], [1, 0]]}',
+          "--a", '["a"]', "--b", '["z"]'], "'z'"),
+    ], ids=["line", "interval-union", "finite"])
+    def test_sets_outside_the_space_fail_typed(self, capsys, argv, point):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "point %s is not in the space" % point}
 
     def test_space_file_input(self, capsys, tmp_path):
         spec = tmp_path / "space.json"

@@ -1,4 +1,4 @@
-"""Line retractions: closest-pair collapse, interval unions, harmonic set."""
+"""Line retractions: closest-pair collapse, interval unions, delete-min."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from finset import (
     FSet,
     GapExpansion,
-    HarmonicSet,
     IntervalUnion,
     PiecewiseLinearMap,
     build_gap_expansion,
@@ -22,7 +21,7 @@ from finset import (
     min_separation,
 )
 from finset.generators import generate
-from finset.line import _distinct_sorted, rank_below, signed_rank
+from finset.line import _distinct_sorted, signed_rank
 from finset.metric import _as_fset
 
 
@@ -30,9 +29,6 @@ int_grids = st.sets(st.integers(min_value=-30, max_value=30), min_size=2, max_si
 
 
 class TestRanks:
-    def test_rank_below(self):
-        assert [rank_below((0, 1, 3), x) for x in (0, 1, 3)] == [0, 1, 2]
-
     def test_signed_rank(self):
         assert [signed_rank((0, 1, 3), x) for x in (0, 1, 3)] == [1.0, 0.0, -1.0]
         assert signed_rank((1, 2), 1) == 0.5
@@ -280,31 +276,6 @@ class TestIntervalUnionRetract:
         exp = build_gap_expansion(X, 3)
         A = FSet((0.25, 5.75))
         assert interval_union_retract(X, A, 3, expansion=exp) is A
-
-
-class TestHarmonicSet:
-    def test_points_frozen(self):
-        assert HarmonicSet(3).points() == [0.0, 1 / 3, 0.5, 1.0]
-
-    def test_contains(self):
-        H = HarmonicSet(4)
-        assert H.contains(0.25) and H.contains(0.0) and H.contains(1.0)
-        assert not H.contains(0.2)  # 1/5 is beyond the truncation
-        assert not HarmonicSet(None).contains(0.3)
-        assert HarmonicSet(None).contains(1e-6)
-
-    def test_untruncated_cannot_be_listed(self):
-        with pytest.raises(ValueError):
-            HarmonicSet(None).points()
-
-    def test_neighbor_gaps_identity(self):
-        # at t = 1/k the lower gap is exactly 1/k - 1/(k+1)
-        for k in (2, 5, 17):
-            t = Fraction(1, k)
-            below = t * t / (1 + t)
-            above = t * t / (1 - t)
-            assert below == Fraction(1, k) - Fraction(1, k + 1)
-            assert above == Fraction(1, k - 1) - Fraction(1, k)
 
 
 class TestDeleteMinRetract:

@@ -22,7 +22,6 @@ from finset import (
     get_tolerance,
     hausdorff,
     match_bijection,
-    match_order_preserving,
     min_separation,
     space_from_json,
 )
@@ -263,12 +262,6 @@ class TestMatchings:
         with pytest.raises(ValueError, match="separated"):
             match_bijection(FSet((0.0, 1.0)), FSet((0.5, 0.6)))
 
-    def test_order_preserving(self):
-        A = FSet((0.0, 10.0))
-        B = FSet((0.2, 10.1))
-        m = match_order_preserving(A, B)
-        assert dict(m) == {0.0: 0.2, 10.0: 10.1}
-
 
 class TestSpaces:
     def test_finite_space_rejects_asymmetry(self):
@@ -373,11 +366,11 @@ def _public_signatures():
 
 
 def test_one_global_tolerance_and_no_dead_knobs():
-    # the comparison tolerance is FINSET_TOLERANCE alone; these five take a
+    # the comparison tolerance is FINSET_TOLERANCE alone; these four take a
     # tol of another meaning (merge distance, per-point or membership slack)
     with_tol = {label for label, params in _public_signatures() if "tol" in params}
     assert with_tol == {"FSet", "FSet.approx_equal", "IntervalUnion.locate",
-                        "IntervalUnion.contains", "HarmonicSet.contains"}
+                        "IntervalUnion.contains"}
     params = dict(_public_signatures())
     for name in ("subdominant_ultrametric", "disconnection_constant",
                  "FiniteMetricSpace.from_coords"):
@@ -389,7 +382,10 @@ def test_one_global_tolerance_and_no_dead_knobs():
     # Lipschitz bound is one constant
     import finset
     assert {"Matching", "generic_retract_bound"}.isdisjoint(finset.__all__)
-    assert not hasattr(finset.HarmonicSet, "space")
+    # public names no certificate reached are gone
+    assert {"match_order_preserving", "disjoint_union", "conjugated_map", "rank_below",
+            "signed_rank", "HarmonicSet"}.isdisjoint(finset.__all__)
+    assert not hasattr(finset.line, "rank_below")
     assert "D" not in params["split_gh"]
     assert finset.GENERIC_BOUND == 5.0
     # the cap of the quadruple checks is DEFAULT_ENUMERATION_CAP alone

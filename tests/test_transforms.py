@@ -18,9 +18,7 @@ from finset import (
     SubsetDomain,
     apply_transform,
     check_induced_qh,
-    conjugated_map,
     delete_min_retract,
-    disjoint_union,
     enumerate_fsets,
     estimate_constant,
     estimate_qh_modulus,
@@ -139,17 +137,6 @@ class TestProductAndUnion:
                           RealLineSpace([0.0, 0.3]))
         FiniteMetricSpace(P.points, P.dist)  # revalidates
 
-    def test_disjoint_union_frozen(self):
-        X = RealLineSpace([0.0, 1.0])
-        Y = RealLineSpace([10.0, 11.0])
-        U = disjoint_union(X, Y, 5.0)
-        assert U.d((0, 0.0), (1, 10.0)) == 5.0
-        assert U.d((0, 0.0), (0, 1.0)) == 1.0
-
-    def test_disjoint_union_small_cross_raises(self):
-        X = RealLineSpace([0.0, 10.0])
-        with pytest.raises(ValueError):
-            disjoint_union(X, RealLineSpace([0.0, 1.0]), 1.0)
 
 
 class TestInducedMaps:
@@ -161,13 +148,6 @@ class TestInducedMaps:
         with pytest.raises(ValueError, match="injective"):
             induced_subset_map(lambda x: 0.0, FSet((1.0, 2.0)))
 
-    def test_conjugated_map(self):
-        # conjugating delete-min through x -> 2x deletes the minimum of the
-        # doubled set: the two routes agree
-        r = lambda A: delete_min_retract(A, 3)
-        conj = conjugated_map(lambda x: 2 * x, lambda y: y / 2, r)
-        B = FSet((0.0, 2.0, 4.0))
-        assert conj(B) == FSet(2 * x for x in r(FSet((0.0, 1.0, 2.0))))
 
 
 class TestQhModulus:
