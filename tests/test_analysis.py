@@ -192,6 +192,24 @@ def test_complete_sampled_search_reports_the_exhaustive_certificate(case, beta):
     assert sampled.witness == exhaustive.witness
 
 
+@pytest.mark.parametrize("spare", [0, 1])
+def test_covered_budget_scores_each_pair_once_whatever_the_seed(spare):
+    # a budget of at least twice the 105 pairs covers the domain: the search
+    # scores each pair once, in enumerate_fsets order, and draws nothing
+    f = lambda A: delete_min_retract(A, 2)
+    domain = SubsetDomain.build(harmonic_space(4), 2, cap=1)
+    exhaustive = estimate_constant(f, SubsetDomain.build(harmonic_space(4), 2))
+    reports = [estimate_constant(f, domain, seed=seed, pair_budget=2 * 105 + spare)
+               for seed in (0, 3)]
+    assert exhaustive.pairs_examined == 105
+    for rep in reports:
+        assert rep.mode == "sampled"
+        assert rep.pairs_examined == 105
+        assert repr(rep.constant) == repr(exhaustive.constant)
+        assert rep.witness == exhaustive.witness
+    assert reports[0].stop_reason == reports[1].stop_reason
+
+
 def assert_kernel_matches_brute(f, sets, beta, space=None):
     # in lexicographic order the kernel's least (i, j) and the reference's
     # least (A, B) name the same witness among tied ratios

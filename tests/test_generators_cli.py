@@ -580,12 +580,24 @@ class TestCli:
         (["hausdorff", "--space",
           '{"kind": "finite", "points": ["a", "b"], "dist": [[0, 1], [1, 0]]}',
           "--a", '["a"]', "--b", '["z"]'], "'z'"),
-    ], ids=["line", "interval-union", "finite"])
+        (["retract", "--map", "delete-min", "--space", '{"kind": "harmonic", "K": 3}',
+          "--set", "[0, 0.25]", "--n", "2"], "0.25"),
+        (["retract", "--map", "generic", "--space",
+          '{"kind": "finite", "points": ["a", "b"], "dist": [[0, 1], [1, 0]]}',
+          "--set", '["a", "c"]', "--n", "2"], "'c'"),
+    ], ids=["line", "interval-union", "finite", "retract-harmonic", "retract-finite"])
     def test_sets_outside_the_space_fail_typed(self, capsys, argv, point):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ValueError",
                                    "message": "point %s is not in the space" % point}
+
+    def test_interval_union_sets_are_checked_within_the_tolerance(self, capsys):
+        # 1 + 1e-10 is within FINSET_TOLERANCE of the interval [0, 1]
+        code, out, _ = run_cli(capsys, ["hausdorff", "--space", UNION,
+                                        "--a", "[1.0000000001]", "--b", "[3]"])
+        assert code == 0
+        assert json.loads(out)["distance"] == pytest.approx(2.0)
 
     def test_space_file_input(self, capsys, tmp_path):
         spec = tmp_path / "space.json"

@@ -254,13 +254,21 @@ class TestMatchings:
         assert sorted(b for _, b in m) == sorted(B)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sets must have equal size$"):
             match_bijection(FSet((0.0, 1.0)), FSet((0.5,)))
 
     def test_precondition_violation(self):
         # neither set is separated by more than twice the Hausdorff distance
-        with pytest.raises(ValueError, match="separated"):
+        with pytest.raises(ValueError, match="^sets are not separated enough for a "
+                                             "canonical matching$"):
             match_bijection(FSet((0.0, 1.0)), FSet((0.5, 0.6)))
+
+    def test_bijection_from_the_separated_side(self):
+        # only B is separated by more than twice the Hausdorff distance 0.3:
+        # each point of B picks its partner, and the pairs come back in A's order
+        A = FSet((0.3, 0.7))
+        B = FSet((0.0, 1.0))
+        assert match_bijection(A, B) == ((0.3, 0.0), (0.7, 1.0))
 
 
 class TestSpaces:
