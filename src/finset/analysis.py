@@ -340,6 +340,10 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     if isinstance(domain, SubsetDomain):
         space = domain.space
         if not domain.exhaustive:
+            if _subset_count(len(space.points), domain.n) < 2:
+                raise ValueError("domain must contain at least two subsets")
+            if pair_budget < 2:
+                raise ValueError("pair budget must be at least 2, got %d" % pair_budget)
             c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, image)
             return ConstantReport(kind, beta, c, w, p, "sampled", stop)
         sets = domain.sets
@@ -428,7 +432,7 @@ class SampledPath:
     @classmethod
     def from_samples(cls, grid, values, space=None):
         grid = tuple(float(t) for t in grid)
-        values = tuple(v if isinstance(v, FSet) else FSet(v) for v in values)
+        values = tuple(map(FSet, values))
         L = 0.0
         for (t0, A), (t1, B) in zip(zip(grid, values), zip(grid[1:], values[1:])):
             L = max(L, hausdorff(A, B, space) / (t1 - t0))
@@ -459,7 +463,7 @@ def split_gh(f, z0, E, L=None, space=None):
     except ValueError:
         raise ValueError("z0 must be one of the grid parameters") from None
     base = f.values[i0]
-    E = E if isinstance(E, FSet) else FSet(E)
+    E = FSet(E)
     if any(e not in base for e in E):
         raise ValueError("E must be a subset of f(z0)")
     n = max(len(v) for v in f.values)
@@ -470,7 +474,7 @@ def split_gh(f, z0, E, L=None, space=None):
     for x in base:
         if x in E:
             continue
-        if _set_diameter(FSet(tuple(E) + (x,)), space) <= 3 * L * D * len(E) + tol:
+        if _set_diameter(FSet(E + (x,)), space) <= 3 * L * D * len(E) + tol:
             raise ValueError("E is not maximal: %r can be added" % (x,))
     g_vals, h_vals = [], []
     for z, val in zip(f.grid, f.values):

@@ -69,8 +69,6 @@ def _jsonable(obj):
         obj = vars(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, FSet):
-        return [_jsonable(p) for p in obj]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
@@ -159,7 +157,8 @@ def _cmd_validate(args):
         check = ultra.validate_ultrametric(space)
         report.update(is_ultrametric=check.is_ultrametric,
                       ultrametric_slack=check.violation,
-                      min_positive_distance=space.min_positive_distance())
+                      min_positive_distance=space.min_positive_distance()
+                      if len(space) > 1 else None)
     return report
 
 

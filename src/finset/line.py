@@ -11,13 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .metric import (FSet, _as_fset, _check_size, get_tolerance,
-                     min_separation)
-
-
-def _distinct_sorted(A, n):
-    """The distinct points of A in ascending order; more than n raise."""
-    return _check_size(tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A))), n)
+from .metric import FSet, _check_size, get_tolerance, min_separation
 
 
 def signed_rank(A, x):
@@ -30,10 +24,10 @@ def _slide(A, n, ranks, failure):
     ``ranks(pts)`` and delta the minimum separation of the sorted pts, merging
     within ``get_tolerance()``; an image of more than n - 1 points raises
     ArithmeticError(failure).  Sets with fewer than n points are fixed."""
-    pts = _distinct_sorted(A, n)
+    pts = _check_size(FSet(A), n)
     delta = min_separation(pts, n)
     if delta == 0:
-        return _as_fset(A, pts)
+        return pts
     out = FSet((x - delta * r for x, r in zip(pts, ranks(pts))), tol=get_tolerance())
     if len(out) > n - 1:
         raise ArithmeticError(failure)
@@ -213,13 +207,13 @@ def interval_union_retract(X, A, n, expansion=None):
     it per call.
     """
     tol = get_tolerance()
-    pts = _distinct_sorted(A, n)
+    pts = _check_size(FSet(A), n)
     homes = [X.locate(a, tol) for a in pts]
     if None in homes:
         raise ValueError("point %r lies outside the union"
                          % (pts[homes.index(None)],))
     if len(pts) < n:
-        return _as_fset(A, pts)
+        return pts
     if len(set(homes)) == n:
         return FSet(pts[1:])
     exp = expansion if expansion is not None else build_gap_expansion(X, n)
@@ -242,7 +236,5 @@ def delete_min_retract(A, n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pts = _distinct_sorted(A, n)
-    if len(pts) == n:
-        return FSet(pts[1:])
-    return _as_fset(A, pts)
+    pts = _check_size(FSet(A), n)
+    return FSet(pts[1:]) if len(pts) == n else pts

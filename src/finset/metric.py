@@ -47,54 +47,30 @@ def _merge_close(items, tol):
     return out
 
 
-class FSet:
-    """A nonempty finite subset, stored in canonical sorted form.
+class FSet(tuple):
+    """A nonempty finite subset: the sorted tuple of its distinct points.
 
-    Equality and hashing are structural, so two FSets are equal exactly when
+    Equality and hashing are the tuple's, so two FSets are equal exactly when
     they are equal as sets.  A positive ``tol`` merges numeric elements closer
     than ``tol`` at construction time, which keeps computed sets from growing
-    spurious extra points through floating-point round-off.
+    spurious extra points through floating-point round-off.  Without one, an
+    FSet argument is returned as is, as ``tuple(t)`` returns a tuple.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements, tol=0.0):
+    def __new__(cls, elements, tol=0.0):
+        if isinstance(elements, cls) and not tol > 0.0:
+            return elements
         items = sorted(set(elements))
         if items and tol > 0.0:
             items = _merge_close(items, tol)
         if not items:
             raise ValueError("an FSet must contain at least one point")
-        self.elements = tuple(items)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def __eq__(self, other):
-        if isinstance(other, FSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.elements)
+        return super().__new__(cls, items)
 
     def __repr__(self):
-        return "FSet(%r)" % (list(self.elements),)
-
-    def approx_equal(self, other, tol=None):
-        """Set equality up to a per-point tolerance, by default ``get_tolerance()``."""
-        tol = get_tolerance() if tol is None else tol
-        a, b = self.elements, tuple(other)
-        if len(a) != len(b):
-            return False
-        if a and isinstance(a[0], numbers.Real):
-            return all(abs(x - y) <= tol for x, y in zip(a, b))
-        return a == b
+        return "FSet(%r)" % (list(self),)
 
 
 class RealLineSpace:
@@ -421,18 +397,13 @@ def _on_line(space):
 
 
 def _ascending(A):
-    return A.elements if isinstance(A, FSet) else sorted(A)
+    return A if isinstance(A, FSet) else sorted(A)
 
 
 def _check_size(pts, n):
     if len(pts) > n:
         raise ValueError("set has %d points, more than n=%d" % (len(pts), n))
     return pts
-
-
-def _as_fset(A, pts):
-    """A itself when it is an FSet, else the FSet of its points ``pts``."""
-    return A if isinstance(A, FSet) else FSet(pts)
 
 
 def _directed_line(xs, ys):

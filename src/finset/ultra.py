@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (FSet, FiniteMetricSpace, _as_fset, _check_size, _eps_graph,
+from .metric import (FSet, FiniteMetricSpace, _check_size, _eps_graph,
                      _off_diagonal_min, _ordered_points, _triple_slacks, as_finite_space,
                      get_tolerance)
 
@@ -168,7 +168,7 @@ def generic_retract(family, A, n, m):
         raise ValueError("need n > m >= 1, got n=%d m=%d" % (n, m))
     pts = _check_size(tuple(A), n)
     if len(pts) <= m:
-        return _as_fset(A, pts)
+        return FSet(A)
     # on an ultrametric the center count of A does not increase as the level
     # gets coarser, so the levels that collapse A to m points are a prefix
     levels = family.levels

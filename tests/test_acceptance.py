@@ -97,7 +97,7 @@ def test_c02_retraction_axioms():
         for A in domain:
             out = f(A)
             if len(A) <= m:
-                if not (out is A or out.approx_equal(A, tol=1e-9)):
+                if out != A:
                     return False
             if len(out) > m or not inside(out):
                 return False

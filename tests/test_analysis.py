@@ -147,6 +147,20 @@ class TestEstimateConstant:
             estimate_constant(lambda A: A, [FSet((0.0,))])
         with pytest.raises(ValueError, match="distance 0"):
             estimate_constant(lambda A: A, [FSet((0.0,)), FSet((0.0,))])
+        # a sampled search that could score no pair says why
+        one = SubsetDomain.build(RealLineSpace([0.0]), 1, cap=0)
+        with pytest.raises(ValueError, match="^domain must contain at least two subsets$"):
+            estimate_constant(lambda A: A, one)
+        dom = SubsetDomain.build(harmonic_space(40), 4)
+        assert not dom.exhaustive
+        for budget in (1, 0, -5):
+            with pytest.raises(ValueError, match="^pair budget must be at least 2, got %d$"
+                               % budget):
+                estimate_constant(lambda A: delete_min_retract(A, 4), dom,
+                                  pair_budget=budget)
+        # exhaustive mode ignores the budget
+        small = SubsetDomain.build(RealLineSpace([0.0, 1.0]), 1)
+        assert estimate_constant(lambda A: A, small, pair_budget=0).constant == 1.0
 
 
 def tree_case(seed):
@@ -213,7 +227,7 @@ def test_covered_budget_scores_each_pair_once_whatever_the_seed(spare):
 def assert_kernel_matches_brute(f, sets, beta, space=None):
     # in lexicographic order the kernel's least (i, j) and the reference's
     # least (A, B) name the same witness among tied ratios
-    sets = sorted(sets, key=lambda S: S.elements)
+    sets = sorted(sets)
     rep = estimate_constant(f, sets, hoelder_exponent=beta, space=space)
     best, arg = brute_best_ratio(functools.lru_cache(maxsize=None)(f), sets, beta, space)
     assert rep.mode == "exhaustive"
@@ -437,7 +451,7 @@ def test_row_blocks_match_the_family_table_on_a_finite_space(skew, shape, beta, 
     if not skew:
         sp = FiniteMetricSpace.from_coords(sp.points)
     sets = [A for A in enumerate_fsets(sp, 2)
-            if len(A) == 1 or A.elements[0][0] < 2 and sp.d(*A.elements) < 1.5]
+            if len(A) == 1 or A[0][0] < 2 and sp.d(*A) < 1.5]
     assert len(sets) == 234
     shift = dict(zip(sp.points, sp.points[12:] + sp.points[:12]))
     f = {"first-point": lambda A: FSet(list(A)[:1]),

@@ -302,6 +302,13 @@ class TestCli:
         assert code == 0
         assert not json.loads(out)["is_ultrametric"]
 
+    def test_validate_one_point_space(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "validate", "--space", '{"kind": "cantor", "depth": 0}'])
+        assert code == 0
+        report = json.loads(out)
+        assert report["valid"] is True and report["min_positive_distance"] is None
+
     def test_validate_scans_only_explicit_matrices(self, capsys, monkeypatch):
         # coordinates are a metric by proof; an explicit matrix is scanned once
         calls = []
@@ -541,10 +548,17 @@ class TestCli:
            "--space", '{"kind": "interval_union", "intervals": [[0, 1], [5, 6]]}'],
           "unknown retraction %r; accepted: line, median, delete-min, interval-union, "
           "generic, snowflake" % alias)
-         for alias in ("delete_min", "interval_union", "ultra")],
+         for alias in ("delete_min", "interval_union", "ultra")]
+    # a sampled search that could score no pair says why
+    + [(["estimate-lip", "--space", '{"kind": "harmonic", "K": 40}', "--map", "delete-min",
+         "--n", "4", "--budget", budget], "pair budget must be at least 2, got %s" % budget)
+       for budget in ("1", "0", "-5")]
+    + [(["estimate-lip", "--space", '{"kind": "line", "points": [0]}', "--map", "line",
+         "--n", "1", "--cap", "0"], "domain must contain at least two subsets")],
         ids=["parabola-typo", "transform-key", "dendrogram-both", "explicit",
              "harmonic-fraction", "line-missing", "harmonic-missing", "transform-missing",
-             "spec-list", "map-delete_min", "map-interval_union", "map-ultra"])
+             "spec-list", "map-delete_min", "map-interval_union", "map-ultra",
+             "budget-1", "budget-0", "budget-negative", "one-set"])
     def test_spec_and_map_errors_exit_one(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")

@@ -21,8 +21,8 @@ from finset import (
     min_separation,
 )
 from finset.generators import generate
-from finset.line import _distinct_sorted, signed_rank
-from finset.metric import _as_fset
+from finset.line import signed_rank
+from finset.metric import _check_size
 
 
 int_grids = st.sets(st.integers(min_value=-30, max_value=30), min_size=2, max_size=6)
@@ -89,6 +89,16 @@ class TestMedianRetract:
         out = median_retract(A, n)
         assert len(out) <= n - 1
         assert min(A) <= min(out) and max(out) <= max(A)
+
+
+def _distinct_sorted(A, n):
+    """The distinct points of A in ascending order; more than n raise."""
+    return _check_size(tuple(A) if isinstance(A, FSet) else tuple(sorted(set(A))), n)
+
+
+def _as_fset(A, pts):
+    """A itself when it is an FSet, else the FSet of its points ``pts``."""
+    return A if isinstance(A, FSet) else FSet(pts)
 
 
 def parent_line_retract(A, n):
@@ -248,7 +258,7 @@ class TestIntervalUnionRetract:
     def test_frozen_conjugated_case(self):
         X = IntervalUnion(((0, 1), (5, 5)))
         out = interval_union_retract(X, FSet((0.0, 0.4, 1.0)), 3)
-        assert out.approx_equal(FSet((0.0, 0.2)), tol=1e-9)
+        assert out == pytest.approx((0.0, 0.2), abs=1e-9)
 
     def test_frozen_spread_case(self):
         # the set meets n distinct intervals, so its minimum is dropped

@@ -77,9 +77,12 @@ class TestFSet:
         assert hash(FSet((1, 2))) == hash(FSet((2, 1)))
         assert FSet((1, 2)) != FSet((1, 3))
 
-    def test_approx_equal(self):
-        assert FSet((0.0, 1.0)).approx_equal(FSet((1e-12, 1.0)), tol=1e-9)
-        assert not FSet((0.0, 1.0)).approx_equal(FSet((0.5, 1.0)), tol=1e-9)
+    def test_is_the_sorted_tuple_of_its_distinct_points(self):
+        A = FSet((1.0, 0.0, 1.0))
+        assert isinstance(A, tuple) and A == (0.0, 1.0)
+        assert FSet(A) is A
+        # merging still runs on an FSet argument
+        assert FSet(FSet((0.0, 1e-12)), tol=1e-9) == (0.0,)
 
 
 class TestHausdorff:
@@ -374,11 +377,10 @@ def _public_signatures():
 
 
 def test_one_global_tolerance_and_no_dead_knobs():
-    # the comparison tolerance is FINSET_TOLERANCE alone; these four take a
-    # tol of another meaning (merge distance, per-point or membership slack)
+    # the comparison tolerance is FINSET_TOLERANCE alone; these three take a
+    # tol of another meaning (merge distance or membership slack)
     with_tol = {label for label, params in _public_signatures() if "tol" in params}
-    assert with_tol == {"FSet", "FSet.approx_equal", "IntervalUnion.locate",
-                        "IntervalUnion.contains"}
+    assert with_tol == {"FSet", "IntervalUnion.locate", "IntervalUnion.contains"}
     params = dict(_public_signatures())
     for name in ("subdominant_ultrametric", "disconnection_constant",
                  "FiniteMetricSpace.from_coords"):
