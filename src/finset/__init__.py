@@ -46,7 +46,6 @@ from .metric import (
     hausdorff,
     match_bijection,
     min_separation,
-    space_from_json,
 )
 from .transforms import (
     MetricTransform,

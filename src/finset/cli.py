@@ -112,13 +112,13 @@ def _emit_csv(header, rows, out):
 
 
 def _space_summary(space):
-    data = space.to_json()
+    """An interval union's JSON form; for a space of listed points, its kind,
+    points, size and diameter, without reading its distance matrix out."""
     if isinstance(space, line.IntervalUnion):
-        return data
-    data["size"] = len(space.points)
-    data.pop("dist", None)
-    data["diameter"] = space.diameter()
-    return data
+        return space.to_json()
+    points = space.to_json()["points"] if isinstance(space, RealLineSpace) else space.points
+    return {"kind": space.kind, "points": points, "size": len(space.points),
+            "diameter": space.diameter()}
 
 
 def _retraction(name, space, n, m, target_l):
@@ -260,29 +260,20 @@ def _cmd_ultra_build(args):
     return report
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "hausdorff": _cmd_hausdorff,
-    "retract": _cmd_retract,
-    "estimate-lip": _cmd_estimate_lip,
-    "witness": _cmd_witness,
-    "quasiconvexity": _cmd_quasiconvexity,
-    "transform": _cmd_transform,
-    "ultra-build": _cmd_ultra_build,
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finset",
         description="Retractions of finite subset spaces and their constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space=None):
+    def command(name, handler, help, space=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if space:
             p.add_argument("--space", required=space == "required",
                            help="generator spec: inline JSON or a path to a JSON file")
         p.add_argument("--out", help="write the report here instead of stdout")
+        return p
 
     def retraction(p):
         p.add_argument("--map", required=True, help="retraction: " + ", ".join(_MAPS))
@@ -293,21 +284,21 @@ def build_parser():
         p.add_argument("--target-l", type=float, default=1.25,
                        help="Lipschitz target of the snowflake map")
 
-    common(sub.add_parser("validate", help="check metric and ultrametric axioms"),
-           space="required")
+    command("validate", _cmd_validate, "check metric and ultrametric axioms",
+            space="required")
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distance between two sets")
-    common(p, space="optional")
+    p = command("hausdorff", _cmd_hausdorff, "Hausdorff distance between two sets",
+                space="optional")
     p.add_argument("--a", required=True, help="first set as a JSON list")
     p.add_argument("--b", required=True, help="second set as a JSON list")
 
-    p = sub.add_parser("retract", help="apply a named retraction to one set")
-    common(p, space="optional")
+    p = command("retract", _cmd_retract, "apply a named retraction to one set",
+                space="optional")
     retraction(p)
     p.add_argument("--set", required=True, help="input set as a JSON list")
 
-    p = sub.add_parser("estimate-lip", help="estimate a Lipschitz or Hoelder constant")
-    common(p, space="required")
+    p = command("estimate-lip", _cmd_estimate_lip,
+                "estimate a Lipschitz or Hoelder constant", space="required")
     retraction(p)
     p.add_argument("--exponent", type=float, default=1.0,
                    help="Hoelder exponent in (0, 1]; 1 gives a Lipschitz constant")
@@ -319,26 +310,25 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sampled search")
 
-    p = sub.add_parser("witness", help="exact chain witness against Lipschitz deletion")
-    common(p)
+    p = command("witness", _cmd_witness, "exact chain witness against Lipschitz deletion")
     p.add_argument("--L", required=True, help="Lipschitz bound to defeat, e.g. 1 or 3/2")
     p.add_argument("--full-chain", action="store_true",
                    help="list every set of the chain in the report")
 
-    p = sub.add_parser("quasiconvexity", help="shortest-path to distance ratio")
-    common(p, space="required")
+    p = command("quasiconvexity", _cmd_quasiconvexity, "shortest-path to distance ratio",
+                space="required")
     p.add_argument("--eps", type=float, required=True,
                    help="neighbor radius: the graph joins points at most eps apart")
 
-    p = sub.add_parser("transform", help="rewrite distances through a transform")
-    common(p, space="required")
+    p = command("transform", _cmd_transform, "rewrite distances through a transform",
+                space="required")
     p.add_argument("--transform", required=True,
                    help="transform spec: inline JSON or a path")
     p.add_argument("--L", type=float, default=1.0,
                    help="Lipschitz constant to transport through the transform")
 
-    common(sub.add_parser("ultra-build", help="center family of an ultrametric space"),
-           space="required")
+    command("ultra-build", _cmd_ultra_build, "center family of an ultrametric space",
+            space="required")
     return parser
 
 
@@ -346,7 +336,7 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        report = args.handler(args)
         if report is not None:
             _emit_json(report, args.out)
         return 0

@@ -5,7 +5,6 @@ ultrametrics, plus the JSON spec dispatcher used by the command line.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import operator
@@ -14,7 +13,7 @@ import random
 import numpy as np
 
 from .line import IntervalUnion
-from .metric import FiniteMetricSpace, RealLineSpace, _check_spec_keys, space_from_json
+from .metric import FiniteMetricSpace, RealLineSpace, _from_spec
 from .transforms import product_space
 
 
@@ -179,6 +178,15 @@ def _dendrogram(tree=None, leaves=None, seed=None):
     return dendrogram_space(tree)
 
 
+def _finite(points, dist=None):
+    """The "finite" kind: ``points`` with the distance matrix ``dist``, or,
+    without one, as coordinates; a list point is read as a tuple."""
+    points = [tuple(p) if isinstance(p, list) else p for p in points]
+    if dist is None:
+        return FiniteMetricSpace.from_coords(points)
+    return FiniteMetricSpace(points, dist)
+
+
 # kind -> generator function; a spec's keys other than "kind" are its parameters
 _KINDS = {
     "harmonic": harmonic_space,
@@ -190,17 +198,13 @@ _KINDS = {
     "dendrogram": _dendrogram,
     "interval_union": lambda intervals: IntervalUnion(tuple(tuple(p) for p in intervals)),
     "product": lambda x, y: product_space(generate(x), generate(y)),
+    "line": lambda points: RealLineSpace(points),
+    "finite": _finite,
 }
 
 
 def generate(spec):
-    """Build the space a generator spec dict describes: a kind of ``_KINDS``
-    through its function, any other kind through ``space_from_json``.  A key
-    the kind does not read, or a missing one it needs, raises ValueError."""
-    kind = spec.get("kind")
-    if kind not in _KINDS:
-        return space_from_json(spec)
-    params = inspect.signature(_KINDS[kind]).parameters
-    _check_spec_keys(spec, kind, params,
-                     [k for k, p in params.items() if p.default is p.empty])
-    return _KINDS[kind](**{k: v for k, v in spec.items() if k != "kind"})
+    """Build the space a generator spec dict describes through the function
+    ``_KINDS`` holds for its kind.  A key the kind does not read, or a
+    missing one it needs, raises ValueError."""
+    return _from_spec(_KINDS, spec, "space")

@@ -11,6 +11,7 @@ All operations here are pure functions of immutable values.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import numbers
@@ -279,9 +280,10 @@ class FiniteMetricSpace:
         tol = get_tolerance()
         D = self.dist
         n = len(self.points)
-        finite = np.isfinite(D)
-        if not finite.all():
-            i, j = divmod(int(np.argmin(finite)), n)
+        # a NaN propagates to the min and the max, and an infinity is one of
+        # them, so only a failing matrix builds the n x n mask naming its entry
+        if not (np.isfinite(D.min(initial=0.0)) and np.isfinite(D.max(initial=0.0))):
+            i, j = divmod(int(np.argmin(np.isfinite(D))), n)
             raise ValueError("non-finite distance %r between %r, %r"
                              % (float(D[i, j]), self.points[i], self.points[j]))
         if np.abs(np.diag(D)).max(initial=0.0) > tol:
@@ -357,35 +359,24 @@ def as_finite_space(space):
     return FiniteMetricSpace._adopt(pts, np.abs(dist, out=dist))
 
 
-def _check_spec_keys(data, kind, accepted, required):
-    """Raise ValueError naming the keys of a JSON spec of ``kind`` ("kind"
-    aside) that are not in ``accepted``, the keys that kind reads, or else
-    the keys of ``required`` that it lacks."""
-    unknown = sorted(set(data) - set(accepted) - {"kind"})
+def _from_spec(kinds, spec, noun):
+    """Call the function that ``kinds`` maps a JSON spec's "kind" to, with the
+    spec's other keys as its arguments.  An unknown kind, a key the function
+    does not take, or a missing one it needs raises ValueError naming it."""
+    kind = spec.get("kind")
+    if kind not in kinds:
+        raise ValueError("unknown %s kind: %r" % (noun, kind))
+    params = inspect.signature(kinds[kind]).parameters
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    unknown = sorted(set(args) - set(params))
     if unknown:
         raise ValueError("unknown key %s for kind %r; accepted keys: %s"
-                         % (", ".join(map(repr, unknown)), kind, ", ".join(accepted)))
-    missing = [k for k in required if k not in data]
+                         % (", ".join(map(repr, unknown)), kind, ", ".join(params)))
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in args]
     if missing:
         raise ValueError("missing key %s for kind %r"
                          % (", ".join(map(repr, missing)), kind))
-
-
-def space_from_json(data):
-    """Load a space from its JSON form: "line" with "points", or "finite"
-    with "points" and an optional "dist"; any other key, or a missing
-    "points", raises ValueError."""
-    kind = data.get("kind")
-    if kind == "line":
-        _check_spec_keys(data, kind, ("points",), ("points",))
-        return RealLineSpace(data["points"])
-    if kind == "finite":
-        _check_spec_keys(data, kind, ("points", "dist"), ("points",))
-        points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
-        if "dist" in data:
-            return FiniteMetricSpace(points, data["dist"])
-        return FiniteMetricSpace.from_coords(points)
-    raise ValueError("unknown space kind: %r" % (kind,))
+    return kinds[kind](**args)
 
 
 def _distance_fn(space):

@@ -18,7 +18,7 @@ from .metric import (
     EnumerationCapError,
     FSet,
     FiniteMetricSpace,
-    _check_spec_keys,
+    _from_spec,
     as_finite_space,
     enumerate_fsets,
     get_tolerance,
@@ -77,13 +77,10 @@ class MetricTransform:
 
     @classmethod
     def from_json(cls, data):
-        if data.get("kind") == "power":
-            _check_spec_keys(data, "power", ("alpha",), ("alpha",))
-            return cls("power", alpha=float(data["alpha"]))
-        if data.get("kind") == "table":
-            _check_spec_keys(data, "table", ("pairs",), ("pairs",))
-            return cls("table", table=tuple(tuple(p) for p in data["pairs"]))
-        raise ValueError("transform JSON needs kind power or table")
+        return _from_spec({
+            "power": lambda alpha: cls("power", alpha=float(alpha)),
+            "table": lambda pairs: cls("table", table=tuple(tuple(p) for p in pairs)),
+        }, data, "transform")
 
 
 def apply_transform(space, transform):

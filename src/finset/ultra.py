@@ -166,9 +166,9 @@ def generic_retract(family, A, n, m):
     """
     if not n > m >= 1:
         raise ValueError("need n > m >= 1, got n=%d m=%d" % (n, m))
-    pts = _check_size(tuple(A), n)
+    pts = _check_size(A if isinstance(A, tuple) else tuple(A), n)
     if len(pts) <= m:
-        return FSet(A)
+        return FSet(pts)
     # on an ultrametric the center count of A does not increase as the level
     # gets coarser, so the levels that collapse A to m points are a prefix
     levels = family.levels

@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from finset import (FiniteMetricSpace, IntervalUnion, MetricTransform, RealLineSpace,
-                    cli, space_from_json, ultra)
+                    cli, ultra)
 from finset.generators import (
     cantor_points,
     cantor_space,
@@ -161,6 +162,14 @@ class TestGenerate:
                         "dist": [[0, 2], [2, 0]]})
         assert isinstance(fin, FiniteMetricSpace) and fin.d("p", "q") == 2.0
 
+    def test_null_dist_reads_as_no_dist(self):
+        # JSON null is None, the default of "dist": the points are coordinates
+        points = [[0, 0], [3, 4]]
+        absent, null = (generate({"kind": "finite", "points": points, **extra})
+                        for extra in ({}, {"dist": None}))
+        assert null.to_json() == absent.to_json()
+        assert null.d((0.0, 0.0), (3.0, 4.0)) == 5.0
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             generate({"kind": "moebius"})
@@ -206,7 +215,7 @@ class TestGenerate:
          "'k' for kind 'harmonic'; accepted keys: K"),
         (generate, {"kind": "line", "points": [0, 1], "colour": "red"},
          "'colour' for kind 'line'; accepted keys: points"),
-        (space_from_json, {"kind": "line", "points": [0, 0.5], "scale": 2},
+        (generate, {"kind": "line", "points": [0, 0.5], "scale": 2},
          "'scale' for kind 'line'; accepted keys: points"),
         (generate, {"kind": "finite", "points": [[0, 0]], "extra": 1},
          "'extra' for kind 'finite'; accepted keys: points, dist"),
@@ -284,10 +293,27 @@ class TestCli:
     def test_every_option_has_help(self):
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert sorted(sub.choices) == sorted(cli._COMMANDS)
+        assert len(sub.choices) == 8
+        assert all(callable(p.get_default("handler")) for p in sub.choices.values())
         silent = [(name, action.option_strings) for name, p in sub.choices.items()
                   for action in p._actions if not action.help]
         assert silent == []
+
+    @pytest.mark.parametrize("space", [
+        RealLineSpace([0, Fraction(1, 2), 1]),
+        generate({"kind": "finite", "points": ["a", "b"], "dist": [[0, 2], [2, 0]]}),
+        generate({"kind": "finite", "points": [[0, 0], [3, 4]]}),
+        generate({"kind": "rug", "per_side": 3}),
+        generate({"kind": "interval_union", "intervals": [[0, 1], [3, 4]]}),
+    ], ids=["line", "finite-matrix", "finite-coordinates", "product", "interval-union"])
+    def test_space_summary_is_the_json_form_without_the_matrix(self, space):
+        expected = space.to_json()
+        if not isinstance(space, IntervalUnion):
+            expected.pop("dist", None)
+            expected.update(size=len(space.points), diameter=space.diameter())
+        summary = cli._space_summary(space)
+        assert (json.dumps(cli._jsonable(summary), sort_keys=True)
+                == json.dumps(cli._jsonable(expected), sort_keys=True))
 
     def test_validate_dendrogram(self, capsys):
         code, out, err = run_cli(capsys, [

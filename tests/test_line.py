@@ -20,7 +20,6 @@ from finset import (
     median_retract,
     min_separation,
 )
-from finset.generators import generate
 from finset.line import signed_rank
 from finset.metric import _check_size
 
@@ -196,10 +195,6 @@ class TestIntervalUnion:
         X = IntervalUnion(((0, 1), (5, 5)))
         pts = X.discretize(3)
         assert pts == [0.0, 0.5, 1.0, 5.0]
-
-    def test_json_roundtrip(self):
-        X = IntervalUnion(((0, 1), (5, 5)))
-        assert generate(X.to_json()) == X
 
     def test_max_diameter(self):
         assert IntervalUnion(((0, 1), (4, 6))).max_diameter == 2

@@ -6,8 +6,8 @@ a boolean mask and its eps-graph, which its directed search reads without
 copying it, as the matrix is exactly symmetric; disconnection_constant holds
 the subdominant matrix rho, one row block of rho / d and then the same
 eps-graph at the bottleneck.  A boolean mask counts as 1/8 of an array, and
-the bounds allow 1/4 of an array more for small arrays.  Inputs are built
-before tracing.
+the bounds allow 1/4 of an array more for small arrays.  The command line's
+summary of a space reads no n x n array.  Inputs are built before tracing.
 """
 
 import tracemalloc
@@ -17,7 +17,7 @@ import pytest
 
 from finset import (FiniteMetricSpace, RealLineSpace, disconnection_constant,
                     quasiconvexity_constant, rescale, subdominant_ultrametric)
-from finset import metric
+from finset import cli, metric
 from finset.generators import dendrogram_space, random_dendrogram
 from finset.metric import as_finite_space
 
@@ -52,6 +52,18 @@ def test_pair_checks_peak_at_the_copy_and_one_work_array(cloud):
     skewed[lower] = np.nextafter(skewed[lower], np.inf)
     for D in (sp.dist, skewed):
         assert traced_peak(lambda: FiniteMetricSpace(points, D, validate=False)) <= 2.25 * ARRAY
+
+
+def test_adopted_matrix_gets_its_pair_checks_in_one_row_block(cloud):
+    # the finiteness check reads the matrix's min and max, without a mask
+    sp = FiniteMetricSpace.from_coords(cloud)
+    bound = metric._BLOCK_CELLS * 8 + ARRAY / 16
+    assert traced_peak(lambda: FiniteMetricSpace._adopt(sp.points, sp.dist)) <= bound
+
+
+def test_space_summary_reads_no_matrix(cloud):
+    sp = FiniteMetricSpace.from_coords(cloud)
+    assert traced_peak(lambda: cli._space_summary(sp)) <= ARRAY / 4
 
 
 def test_line_points_peak_at_their_matrix_and_one_work_array():

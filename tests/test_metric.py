@@ -23,9 +23,10 @@ from finset import (
     hausdorff,
     match_bijection,
     min_separation,
-    space_from_json,
 )
 from finset import metric
+from finset.generators import generate
+from finset.line import IntervalUnion
 from finset.metric import as_finite_space
 
 from brute import reference_from_coords_dist, reference_pair_checks, strong_triangle
@@ -325,13 +326,15 @@ class TestSpaces:
         with pytest.raises(ValueError):
             RealLineSpace([0.0, 0.0])
 
-    def test_json_roundtrip(self):
-        sp = RealLineSpace([0.0, 1.0, 2.5])
-        back = space_from_json(sp.to_json())
-        assert tuple(back.points) == tuple(sp.points)
-        fsp = FiniteMetricSpace.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)])
-        back = space_from_json(fsp.to_json())
-        assert np.allclose(back.dist, fsp.dist)
+    @pytest.mark.parametrize("space", [
+        RealLineSpace([0.0, 1.0, 2.5]),
+        FiniteMetricSpace(["a", "b", "c"], [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]),
+        FiniteMetricSpace.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]),
+        IntervalUnion(((0, 1), (5, 5))),
+    ], ids=["line", "finite-matrix", "finite-coordinates", "interval-union"])
+    def test_json_roundtrip(self, space):
+        back = generate(space.to_json())
+        assert type(back) is type(space) and back.to_json() == space.to_json()
 
     def test_diameter_and_min_distance(self):
         sp = RealLineSpace([0.0, 0.25, 1.0])

@@ -62,6 +62,10 @@ class TestMetricTransform:
                     MetricTransform("table", table=((0, 0), (2, 5)))):
             assert MetricTransform.from_json(phi.to_json()) == phi
 
+    def test_from_json_names_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown transform kind: 'log'$"):
+            MetricTransform.from_json({"kind": "log"})
+
     def test_apply_snowflake_frozen(self):
         sp = RealLineSpace([0.0, 1.0, 4.0])
         out = apply_transform(sp, MetricTransform("power", alpha=0.5))

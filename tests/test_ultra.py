@@ -215,6 +215,18 @@ class TestGenericRetract:
         A = FSet(sp.points[:2])
         assert generic_retract(fam, A, 3, 2) is A
 
+    def test_reads_its_set_once(self):
+        sp = dendrogram_space(random_dendrogram(6, seed=0))
+        fam = build_centers(sp)
+        p = sp.points[0]
+        assert generic_retract(fam, iter([p]), 3, 2) == FSet([p])
+        A = sp.points[:3]
+        assert generic_retract(fam, iter(A), 3, 2) == generic_retract(fam, FSet(A), 3, 2)
+        # the size check counts raw entries, repeats included
+        for raw in ([p] * 4, iter(sp.points[:4])):
+            with pytest.raises(ValueError, match="^set has 4 points, more than n=3$"):
+                generic_retract(fam, raw, 3, 2)
+
     def test_truncated_above_raises(self):
         sp = RealLineSpace([0.0, 0.125])
         fam = build_centers(sp, levels=[2])
