@@ -9,7 +9,6 @@ harmonic set admits no Lipschitz bound.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -23,9 +22,9 @@ from .metric import (
     DEFAULT_ENUMERATION_CAP,
     FSet,
     FiniteMetricSpace,
+    _BLOCK_CELLS,
     _distance_fn,
     _eps_graph,
-    _ordered_points,
     _subset_count,
     as_finite_space,
     enumerate_fsets,
@@ -227,28 +226,132 @@ def _exhaustive_search(sets, images, space, beta):
     return best, (sets[arg[0]], sets[arg[1]]), math.comb(N, 2)
 
 
-def _sampled_search(space, n, beta, seed, budget, image):
-    # a set is the sorted tuple of its indices into pts, which orders exactly
-    # as its elements do, so that a known pair is skipped before any FSet
-    rng = random.Random(seed)
-    pts = list(_ordered_points(space))
-    N = len(pts)
-    scored = {}
-    top = []  # min-heap of the six largest (ratio, key) scored so far
+def _line_array(values):
+    """Line positions as an array: float64 when every value is a float, else
+    an object array, on which numpy's arithmetic is Python's, exact on ints
+    and Fractions."""
+    return np.array(values, dtype=float if set(map(type, values)) <= {float} else object)
 
-    def score(a, b):
+
+def _row_hausdorff(A, B, dist=None):
+    """Hausdorff distance of each pair of rows of A and B, a row being a set
+    padded by repeating one of its points: line positions, at |a - b|, or,
+    given ``dist``, indices into that exactly symmetric matrix.  Each is the
+    value ``hausdorff`` gives, as a float on float rows: the least gap from
+    a point to the other set is the one the merge pass finds."""
+    if dist is None:
+        gaps = np.abs(A[:, :, None] - B[:, None, :])
+    else:
+        gaps = dist[A[:, :, None], B[:, None, :]]
+    return np.maximum(gaps.min(axis=2).max(axis=1), gaps.min(axis=1).max(axis=1))
+
+
+def _padded(rows, width, array):
+    """The entries of ragged rows as a (rows, width) array, each row padded
+    by repeating its first entry; ``array`` makes the flat array of all
+    entries from a list."""
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    flat = array(list(itertools.chain.from_iterable(rows)))
+    cols = np.arange(width)
+    return flat[np.where(cols < lens[:, None], cols, 0) + (np.cumsum(lens) - lens)[:, None]]
+
+
+class _SampledSets:
+    """The sets of a sampled search, each the sorted tuple of its indices
+    into ``pts``, whose pairs are scored a batch at a time.
+
+    A set's coordinates are its indices padded to n by repeating the first,
+    read as line positions or as indices into the space's matrix.  Its
+    image is f's at the set's first pair at positive distance, so f is
+    called on each set once and in the order of a pair-by-pair search, and
+    is kept with its own coordinates: its points on the line, else their
+    indices into the matrix.
+    """
+
+    def __init__(self, space, n, f):
+        try:
+            self.pts, self._build = sorted(space.points), FSet._from_sorted
+        except TypeError:
+            self.pts, self._build = list(space.points), FSet
+        self.space, self.n, self.f = space, n, f
+        if isinstance(space, FiniteMetricSpace):
+            self.dist = space.dist
+            self.coords = np.array([space.index(p) for p in self.pts], dtype=np.intp)
+        else:
+            self.dist = None
+            self.coords = _line_array(self.pts)
+        self.images = {}
+
+    def fset(self, a):
+        return self._build(tuple(map(self.pts.__getitem__, a)))
+
+    def _image(self, a):
+        B = self.f(self.fset(a))
+        try:
+            row = list(B) if self.dist is None else [self.space.index(p) for p in B]
+        except (KeyError, TypeError):
+            row = []
+        self.images[a] = B, row
+        return B, row
+
+    def ratios(self, pairs, beta):
+        """Δ(f(A), f(B)) / Δ(A, B)^β of each pair as a float array, -inf at
+        distance 0, in chunks of about _BLOCK_CELLS point pairs."""
+        step = max(1, _BLOCK_CELLS // self.n ** 2)
+        return np.concatenate([self._ratios(pairs[i:i + step], beta)
+                               for i in range(0, len(pairs), step)])
+
+    def _ratios(self, pairs, beta):
+        X, Y = (self.coords[_padded(side, self.n, np.array)] for side in zip(*pairs))
+        dd = _row_hausdorff(X, Y, self.dist)
+        out = np.full(len(pairs), -np.inf)
+        at = np.flatnonzero(~(dd <= 0))
+        if not len(at):
+            return out
+        rows = []
+        images = self.images
+        for p in at.tolist():
+            a, b = pairs[p]
+            fa, ra = images.get(a) or self._image(a)
+            fb, rb = images.get(b) or self._image(b)
+            if not (ra and rb):
+                hausdorff(fa, fb, self.space)  # raises the error these images make
+            rows += (ra, rb)
+        img = _padded(rows, max(map(len, rows)), _line_array if self.dist is None else np.array)
+        hi = _row_hausdorff(img[0::2], img[1::2], self.dist).astype(float)
+        out[at] = hi / _power(dd[at].astype(float), beta)
+        return out
+
+
+def _sampled_search(space, n, beta, seed, budget, f):
+    # a set is the sorted tuple of its indices into pts, which orders exactly
+    # as its elements do, so that a known pair is skipped before any FSet.
+    # Drawing and climbing only record new pairs; each batch of them is then
+    # scored at once, which changes no draw, as the draws read no score
+    rng = random.Random(seed)
+    sets = _SampledSets(space, n, f)
+    N = len(sets.pts)
+    scored = {}  # every pair recorded, in order, with its ratio once scored
+    new = []  # the pairs recorded since the last batch, as they were proposed
+    top = []  # the six largest (ratio, pair) scored so far, largest first
+
+    def record(a, b):
         key = (a, b) if a <= b else (b, a)
-        if key in scored or a == b:
-            return
-        A, B = FSet(pts[i] for i in a), FSet(pts[i] for i in b)
-        dd = hausdorff(A, B, space)
-        denom = float(_power(float(dd), beta))
-        r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / denom
-        scored[key] = r
-        if len(top) < 6:
-            heapq.heappush(top, (r, key))
-        elif (r, key) > top[0]:
-            heapq.heapreplace(top, (r, key))
+        if a != b and key not in scored:
+            scored[key] = None
+            new.append((a, b))
+
+    def score_new():
+        nonlocal top
+        ratios = sets.ratios(new, beta)
+        keys = [(a, b) if a <= b else (b, a) for a, b in new]
+        values = ratios.tolist()
+        scored.update(zip(keys, values))
+        best = range(len(keys))
+        if len(keys) > 6:
+            best = np.flatnonzero(ratios >= np.partition(ratios, -6)[-6]).tolist()
+        top = heapq.nlargest(6, top + [(values[i], keys[i]) for i in best])
+        new.clear()
 
     def random_subset():
         k = rng.randint(1, min(n, N))
@@ -294,31 +397,40 @@ def _sampled_search(space, n, beta, seed, budget, image):
     if explore == pairs:
         # the budget covers the domain: score each pair once, in enumerate_fsets
         # order, rather than draw random pairs until every one has come up
-        sets = [t for k in range(1, n + 1) for t in itertools.combinations(range(N), k)]
-        for a, b in itertools.combinations(sets, 2):
-            score(a, b)
+        every = [t for k in range(1, n + 1) for t in itertools.combinations(range(N), k)]
+        for a, b in itertools.combinations(every, 2):
+            record(a, b)
     while len(scored) < explore:
         a = random_subset()
         b = mutate(a) if rng.random() < 0.7 else random_subset()
-        score(a, b)
-    stale = 0
-    while len(scored) < budget and stale < 40:
-        before = len(scored)
-        for _, (a, b) in sorted(top, reverse=True):
-            for pair in neighbors(a, b):
-                score(*pair)
-                if len(scored) >= budget:
-                    break
+        record(a, b)
+    score_new()
+    # the climb draws nothing, so a pair it has expanded has every neighbour
+    # recorded: each top pair is expanded once, and a sweep that records no
+    # pair leaves top, and so every later sweep, as it was
+    expanded = set()
+
+    def sweep():
+        for _, pair in top:
+            if pair not in expanded:
+                expanded.add(pair)
+                yield from neighbors(*pair)
+
+    while len(scored) < budget:
+        for a, b in sweep():
+            record(a, b)
             if len(scored) >= budget:
                 break
-        stale = stale + 1 if len(scored) == before else 0
+        if not new:
+            break
+        score_new()
     peak = max(scored.values(), default=-math.inf)
     if peak == -math.inf:
         raise ValueError("all sampled pairs are at distance 0")
     # the kernel's tie rule: the least pair in enumerate_fsets order, earlier set first
     (_, a), (_, b) = min(sorted((len(t), t) for t in k) for k, r in scored.items() if r == peak)
     stop = "budget" if len(scored) >= budget else "stale"
-    return peak, (FSet(pts[i] for i in a), FSet(pts[i] for i in b)), len(scored), stop
+    return peak, (sets.fset(a), sets.fset(b)), len(scored), stop
 
 
 def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
@@ -336,7 +448,6 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     if not 0.0 < beta <= 1.0:
         raise ValueError("Hoelder exponent must lie in (0, 1]")
     kind = "lipschitz" if beta == 1.0 else "hoelder"
-    image = functools.cache(f)
     if isinstance(domain, SubsetDomain):
         space = domain.space
         if not domain.exhaustive:
@@ -344,14 +455,14 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
                 raise ValueError("domain must contain at least two subsets")
             if pair_budget < 2:
                 raise ValueError("pair budget must be at least 2, got %d" % pair_budget)
-            c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, image)
+            c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, f)
             return ConstantReport(kind, beta, c, w, p, "sampled", stop)
         sets = domain.sets
     else:
         sets = tuple(domain)
     if len(sets) < 2:
         raise ValueError("domain must contain at least two subsets")
-    images = [image(A) for A in sets]
+    images = [f(A) for A in sets]
     c, w, p = _exhaustive_search(sets, images, space, beta)
     return ConstantReport(kind, beta, c, w, p, "exhaustive", "exhaustive")
 
@@ -686,14 +797,18 @@ def lipschitz_obstruction_witness(L):
         raise ValueError("L must be at least 1")
     k, x, y, z = _witness_parameters(L)
     zero = Fraction(0)
-    xx = x * x
-    A = FSet((zero, y, z))
+    k3, k6 = k ** 3, k ** 6
+    # the fourth point w = 1/m steps to the largest unit fraction within x² of
+    # it, 1/⌈1/(w + x²)⌉ = 1/⌈m k⁶/(m + k⁶)⌉, stopping at x = 1/k³; from w = 0
+    # that is 1/k⁶.  Each set 0 < w ≤ x < y < z is built in order.
+    A = FSet._from_sorted((zero, y, z))
     chain = [A]
-    w = zero
-    while w < x:
-        m = max(k ** 3, math.ceil(1 / (w + xx)))
-        w = Fraction(1, m)
-        chain.append(FSet((zero, w, y, z)))
+    m = k6
+    while True:
+        chain.append(FSet._from_sorted((zero, Fraction(1, m), y, z)))
+        if m == k3:
+            break
+        m = max(k3, -(-m * k6 // (m + k6)))
     B = chain[-1]
     steps = (hausdorff(a, b) for a, b in zip(chain, chain[1:]))
     return ChainWitness(L, k, x, y, z, A, B, tuple(chain), max(steps))
@@ -727,7 +842,8 @@ def validate_obstruction_witness(w):
         if len(S) > 4:
             raise ValueError("chain set %r has more than 4 points" % (S,))
         for e in S:
-            e = Fraction(e)
+            if not isinstance(e, Fraction):
+                e = Fraction(e)
             if e != 0 and e.numerator != 1:
                 raise ValueError("element %r is not 0 or a unit fraction" % (e,))
     for a, b in zip(w.chain, w.chain[1:]):

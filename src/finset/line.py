@@ -237,4 +237,4 @@ def delete_min_retract(A, n):
     if n < 2:
         raise ValueError("n must be at least 2")
     pts = _check_size(FSet(A), n)
-    return FSet(pts[1:]) if len(pts) == n else pts
+    return FSet._from_sorted(pts[1:]) if len(pts) == n else pts

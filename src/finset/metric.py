@@ -70,6 +70,12 @@ class FSet(tuple):
             raise ValueError("an FSet must contain at least one point")
         return super().__new__(cls, items)
 
+    @classmethod
+    def _from_sorted(cls, items):
+        """``FSet(items)`` for nonempty items already sorted and distinct,
+        without the set and the sort that check it."""
+        return tuple.__new__(cls, items)
+
     def __repr__(self):
         return "FSet(%r)" % (list(self),)
 

@@ -54,7 +54,7 @@ class MetricTransform:
                 raise ValueError("table values must be nondecreasing")
             object.__setattr__(self, "table", knots)
         else:
-            raise ValueError("unknown transform kind %r" % (self.kind,))
+            raise ValueError("unknown transform kind: %r" % (self.kind,))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -98,16 +98,18 @@ def transport_constant(transform, L, distances):
 
     A retraction with constant L on the original space has constant at most
     L' after the transform.  At L = 2 this is the doubling ratio, the
-    largest φ(2t)/φ(t).  Distances of 0 are skipped.
+    largest φ(2t)/φ(t).  Distances of 0 are skipped; φ(t) = 0 at a positive
+    t gives inf, and no positive distance gives 0.0.  φ is called on the
+    array of the positive distances, once at t and once at L t, and a NaN
+    ratio is passed over.
     """
-    worst = 0.0
-    for t in distances:
-        t = float(t)
-        if t <= 0:
-            continue
-        base = transform(t)
-        worst = math.inf if base == 0 else max(worst, transform(L * t) / base)
-    return worst
+    t = np.asarray(distances, dtype=float)
+    t = t[~(t <= 0)]
+    base = transform(t)
+    if (base == 0).any():
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.fmax.reduce(transform(L * t) / base, initial=0.0))
 
 
 def rescale(space, eps):

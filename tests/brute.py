@@ -1,12 +1,16 @@
 """Slow pure-Python references that the fast paths are tested against."""
 
+import functools
+import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 
-from finset import FiniteMetricSpace, analysis, get_tolerance, subdominant_ultrametric
-from finset.metric import as_finite_space
+from finset import (FSet, FiniteMetricSpace, analysis, get_tolerance, hausdorff,
+                    subdominant_ultrametric)
+from finset.metric import _ordered_points, _subset_count, as_finite_space
 
 
 def brute_minimax(D, i, j):
@@ -189,3 +193,107 @@ def family_table_block(fam, i0, j0):
     forward = fam.table[:, j0:j0 + size][fam.idx[i0:i0 + size]].max(axis=1)
     backward = fam.table[:, i0:i0 + size][fam.idx[j0:j0 + size]].max(axis=1)
     return np.maximum(forward, backward.T)
+
+
+def reference_sampled_search(space, n, beta, seed, budget, f):
+    """``analysis._sampled_search`` scoring one pair at a time as it is
+    proposed: two FSets and two ``hausdorff`` calls per pair, a heap of the
+    six best, and a climb that re-expands its top pairs until 40 sweeps in a
+    row score nothing.  Returns (constant, witness, pairs, stop reason)."""
+    image = functools.cache(f)
+    rng = random.Random(seed)
+    pts = list(_ordered_points(space))
+    N = len(pts)
+    scored = {}
+    top = []
+
+    def score(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key in scored or a == b:
+            return
+        A, B = FSet(pts[i] for i in a), FSet(pts[i] for i in b)
+        dd = hausdorff(A, B, space)
+        denom = float(analysis._power(float(dd), beta))
+        r = -math.inf if dd <= 0 else hausdorff(image(A), image(B), space) / denom
+        scored[key] = r
+        if len(top) < 6:
+            heapq.heappush(top, (r, key))
+        elif (r, key) > top[0]:
+            heapq.heapreplace(top, (r, key))
+
+    def random_subset():
+        k = rng.randint(1, min(n, N))
+        return tuple(sorted(rng.sample(range(N), k)))
+
+    def mutate(a):
+        roll = rng.random()
+        if roll < 0.4 and len(a) > 1:
+            drop = rng.choice(a)
+            return tuple(i for i in a if i != drop)
+        if roll < 0.75:
+            i = rng.choice(a)
+            for _ in range(4):
+                j = min(N - 1, max(0, i + rng.choice((-3, -2, -1, 1, 2, 3))))
+                if j not in a:
+                    return tuple(sorted(j if q == i else q for q in a))
+            return random_subset()
+        if len(a) < n:
+            anchor = rng.choice(a)
+            lo, hi = max(0, anchor - 4), min(N, anchor + 5)
+            j = rng.randrange(lo, hi) if rng.random() < 0.5 else rng.randrange(N)
+            if j not in a:
+                return tuple(sorted(a + (j,)))
+        return random_subset()
+
+    def neighbors(a, b):
+        for s, other, flipped in ((a, b, False), (b, a, True)):
+            for slot, i in enumerate(s):
+                for off in (-2, -1, 1, 2):
+                    j = i + off
+                    if 0 <= j < N and j not in s:
+                        moved = tuple(sorted(s[:slot] + (j,) + s[slot + 1:]))
+                        yield (other, moved) if flipped else (moved, other)
+        for s, flipped in ((a, False), (b, True)):
+            if len(s) > 1:
+                for i in s:
+                    dropped = tuple(q for q in s if q != i)
+                    yield (dropped, s) if flipped else (s, dropped)
+
+    pairs = math.comb(_subset_count(N, n), 2)
+    explore = min(budget // 2, pairs)
+    if explore == pairs:
+        sets = [t for k in range(1, n + 1) for t in itertools.combinations(range(N), k)]
+        for a, b in itertools.combinations(sets, 2):
+            score(a, b)
+    while len(scored) < explore:
+        a = random_subset()
+        b = mutate(a) if rng.random() < 0.7 else random_subset()
+        score(a, b)
+    stale = 0
+    while len(scored) < budget and stale < 40:
+        before = len(scored)
+        for _, (a, b) in sorted(top, reverse=True):
+            for pair in neighbors(a, b):
+                score(*pair)
+                if len(scored) >= budget:
+                    break
+            if len(scored) >= budget:
+                break
+        stale = stale + 1 if len(scored) == before else 0
+    peak = max(scored.values(), default=-math.inf)
+    (_, a), (_, b) = min(sorted((len(t), t) for t in k) for k, r in scored.items() if r == peak)
+    stop = "budget" if len(scored) >= budget else "stale"
+    return peak, (FSet(pts[i] for i in a), FSet(pts[i] for i in b)), len(scored), stop
+
+
+def reference_transport_constant(transform, L, distances):
+    """``transforms.transport_constant`` with φ called on one distance at a
+    time, in order."""
+    worst = 0.0
+    for t in distances:
+        t = float(t)
+        if t <= 0:
+            continue
+        base = transform(t)
+        worst = math.inf if base == 0 else max(worst, transform(L * t) / base)
+    return worst

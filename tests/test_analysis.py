@@ -39,7 +39,8 @@ from finset import analysis
 from finset.generators import (dendrogram_space, harmonic_space, parabola_space,
                                random_dendrogram)
 
-from brute import FamilyTable, family_table_block, reference_quasiconvexity
+from brute import (FamilyTable, family_table_block, reference_quasiconvexity,
+                   reference_sampled_search)
 
 
 def brute_best_ratio(f, sets, beta=1.0, d=None):
@@ -222,6 +223,76 @@ def test_covered_budget_scores_each_pair_once_whatever_the_seed(spare):
         assert repr(rep.constant) == repr(exhaustive.constant)
         assert rep.witness == exhaustive.witness
     assert reports[0].stop_reason == reports[1].stop_reason
+
+
+def dendrogram_case():
+    tree = dendrogram_space(random_dendrogram(40, seed=5))
+    family = build_centers(tree)
+    return tree, 3, lambda A: generic_retract(family, A, 3, 2), 3, 1500
+
+
+# (space, n, map, seed, budget) of searches whose points are not all floats,
+# or that read a distance matrix.  On the Fraction harmonic set a scorer that
+# turns points into floats reports other constants at all three exponents.
+BATCH_SEARCHES = {
+    "fraction-harmonic": lambda: (
+        RealLineSpace([Fraction(0)] + [Fraction(1, k) for k in range(1, 11)]), 4,
+        lambda A: delete_min_retract(A, 4), 1, 1000),
+    "int": lambda: (RealLineSpace([0, 1, 3, 4, 9, 10, 15, 22, 23, 30, 41, 42]), 3,
+                    lambda A: line_retract(A, 3), 2, 800),
+    "mixed": lambda: (
+        RealLineSpace([Fraction(k, 7) for k in range(0, 40, 3)] + [0.5 + k for k in range(6)]),
+        3, lambda A: line_retract(A, 3), 4, 800),
+    "lattice": lambda: (
+        FiniteMetricSpace.from_coords([(float(x), float(y)) for x in range(6) for y in range(5)]),
+        3, lambda A: delete_min_retract(A, 3), 1, 1500),
+    "dendrogram": dendrogram_case,
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.75])
+@pytest.mark.parametrize("case", sorted(BATCH_SEARCHES))
+def test_batch_scoring_reports_what_pair_by_pair_scoring_does(case, beta):
+    space, n, f, seed, budget = BATCH_SEARCHES[case]()
+    calls, ref_calls = [], []
+
+    def logged(log):
+        def g(A):
+            log.append(A)
+            return f(A)
+        return g
+
+    rep = estimate_constant(logged(calls), SubsetDomain.build(space, n, cap=1),
+                            hoelder_exponent=beta, seed=seed, pair_budget=budget)
+    c, w, pairs, stop = reference_sampled_search(space, n, beta, seed, budget,
+                                                 logged(ref_calls))
+    assert (repr(rep.constant), rep.witness, rep.pairs_examined, rep.stop_reason) == \
+        (repr(c), w, pairs, stop)
+    # the map sees each set once, in the order the pair-by-pair search first needs it
+    assert calls == ref_calls
+
+
+def test_batch_scoring_raises_the_first_error_of_the_map():
+    # the search stops at the first set whose image the map cannot give,
+    # after the same calls as a pair-by-pair search
+    def f(log):
+        def g(A):
+            log.append(A)
+            if len(A) == 3 and A[1] > 0.3:
+                raise RuntimeError("no image of %r" % (A,))
+            return A
+        return g
+
+    space = harmonic_space(20)
+    for seed in range(3):
+        calls, ref_calls = [], []
+        with pytest.raises(RuntimeError) as err:
+            estimate_constant(f(calls), SubsetDomain.build(space, 3, cap=1), seed=seed,
+                              pair_budget=400)
+        with pytest.raises(RuntimeError) as ref_err:
+            reference_sampled_search(space, 3, 1.0, seed, 400, f(ref_calls))
+        assert str(err.value) == str(ref_err.value)
+        assert calls == ref_calls
 
 
 def assert_kernel_matches_brute(f, sets, beta, space=None):
@@ -735,6 +806,31 @@ class TestObstructionWitness:
         assert w.y == Fraction(1, k ** 2 + 1)
         assert w.z == Fraction(1, k ** 2)
         assert w.max_step == w.x ** 2
+
+    @staticmethod
+    def walk_chain(L):
+        # the chain as it was first built: w steps to 1/ceil(1/(w + x^2)),
+        # each set through FSet's hash and sort
+        L = Fraction(L)
+        k, x, y, z = analysis._witness_parameters(L)
+        zero = Fraction(0)
+        xx = x * x
+        chain = [FSet((zero, y, z))]
+        w = zero
+        while w < x:
+            m = max(k ** 3, math.ceil(1 / (w + xx)))
+            w = Fraction(1, m)
+            chain.append(FSet((zero, w, y, z)))
+        return chain
+
+    @pytest.mark.parametrize("L", [1, 2, Fraction(3, 2), 5, 6])
+    def test_chain_walked_in_integers_is_the_fraction_walk(self, L):
+        w = lipschitz_obstruction_witness(L)
+        chain = self.walk_chain(L)
+        assert w.chain == tuple(chain)
+        assert all(type(S) is FSet and all(type(e) is Fraction for e in S) for S in w.chain)
+        assert (w.A, w.B) == (chain[0], chain[-1])
+        assert w.max_step == max(hausdorff(a, b) for a, b in zip(chain, chain[1:]))
 
     @pytest.mark.parametrize("L", [1, 2, 5, Fraction(3, 2)])
     def test_validator_passes(self, L):

@@ -86,6 +86,16 @@ class TestFSet:
         assert FSet(FSet((0.0, 1e-12)), tol=1e-9) == (0.0,)
 
 
+    @pytest.mark.parametrize("items", [
+        (0.0,), (0.0, 0.25, 1.0), [Fraction(0), Fraction(1, 3), 2],
+        ((0.0, 1.0), (0.0, 2.0), (1.0, 0.0)), ("a", "b", "c")])
+    def test_from_sorted_is_the_fset_of_sorted_distinct_points(self, items):
+        A = FSet._from_sorted(items)
+        assert type(A) is FSet
+        assert A == FSet(items) and hash(A) == hash(FSet(items))
+        assert tuple(A) == tuple(FSet(items)) == tuple(items)
+
+
 class TestHausdorff:
     def test_frozen_value(self):
         assert hausdorff(FSet((0, 2)), FSet((0, 1, 2))) == 1

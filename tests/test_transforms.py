@@ -30,6 +30,8 @@ from finset import (
     transport_constant,
 )
 
+from brute import reference_transport_constant
+
 
 class TestMetricTransform:
     def test_power_call(self):
@@ -66,6 +68,10 @@ class TestMetricTransform:
         with pytest.raises(ValueError, match="^unknown transform kind: 'log'$"):
             MetricTransform.from_json({"kind": "log"})
 
+    def test_constructor_names_an_unknown_kind_as_from_json_does(self):
+        with pytest.raises(ValueError, match="^unknown transform kind: 'sigmoid'$"):
+            MetricTransform("sigmoid")
+
     def test_apply_snowflake_frozen(self):
         sp = RealLineSpace([0.0, 1.0, 4.0])
         out = apply_transform(sp, MetricTransform("power", alpha=0.5))
@@ -91,6 +97,33 @@ class TestMetricTransform:
         phi = MetricTransform("table", table=((0, 0), (1, 1), (10, 1.5)))
         got = transport_constant(phi, 10.0, [1.0])
         assert got == pytest.approx(1.5)
+
+
+# power and table transforms; the table's distances run past its last knot
+TRANSPORT_PHIS = {
+    "power-0.5": MetricTransform("power", alpha=0.5),
+    "power-0.37": MetricTransform("power", alpha=0.37),
+    "table": MetricTransform("table", table=((0, 0), (0.2, 0.5), (0.6, 0.8))),
+}
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("phi", sorted(TRANSPORT_PHIS))
+def test_transport_constant_on_the_array_is_the_loop_over_distances(phi, L):
+    pts = np.random.default_rng(3).uniform(0, 1, (60, 2))
+    space = FiniteMetricSpace.from_coords([tuple(p) for p in pts])
+    d = space.dist[np.triu_indices(60, 1)]
+    phi = TRANSPORT_PHIS[phi]
+    assert repr(transport_constant(phi, L, d)) == repr(reference_transport_constant(phi, L, d))
+
+
+def test_transport_constant_edge_cases_match_the_loop():
+    flat = MetricTransform("table", table=((0, 0), (0.5, 0), (1, 1)))
+    root = MetricTransform("power", alpha=0.5)
+    for phi, distances, want in ((flat, [2.0, 0.3, 0.0], math.inf), (root, [0.0, 0.0], 0.0),
+                                 (root, [], 0.0), (root, [-1.0, 4.0], math.sqrt(2))):
+        got = transport_constant(phi, 2, distances)
+        assert repr(got) == repr(reference_transport_constant(phi, 2, distances)) == repr(want)
 
 
 class TestRescale:
