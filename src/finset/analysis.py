@@ -9,6 +9,7 @@ harmonic set admits no Lipschitz bound.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -238,12 +239,17 @@ def _row_hausdorff(A, B, dist=None):
     padded by repeating one of its points: line positions, at |a - b|, or,
     given ``dist``, indices into that exactly symmetric matrix.  Each is the
     value ``hausdorff`` gives, as a float on float rows: the least gap from
-    a point to the other set is the one the merge pass finds."""
+    a point to the other set is the one the merge pass finds.  Each least
+    and greatest gap is a fold over one point axis, in index order, as
+    numpy's reductions along it go, but on whole (rows, points) slices: on
+    rows of a few points, a reduction's inner loop per row costs more."""
     if dist is None:
         gaps = np.abs(A[:, :, None] - B[:, None, :])
     else:
         gaps = dist[A[:, :, None], B[:, None, :]]
-    return np.maximum(gaps.min(axis=2).max(axis=1), gaps.min(axis=1).max(axis=1))
+    to_b = functools.reduce(np.minimum, gaps.transpose(2, 0, 1))  # (rows, A's points)
+    to_a = functools.reduce(np.minimum, gaps.transpose(1, 0, 2))  # (rows, B's points)
+    return np.maximum(functools.reduce(np.maximum, to_b.T), functools.reduce(np.maximum, to_a.T))
 
 
 def _padded(rows, width, array):
@@ -256,6 +262,48 @@ def _padded(rows, width, array):
     return flat[np.where(cols < lens[:, None], cols, 0) + (np.cumsum(lens) - lens)[:, None]]
 
 
+class _Draws:
+    """The draws of ``random.Random(seed)``, read straight off its
+    ``getrandbits`` by CPython's own algorithms (the same from 3.10 to 3.13)
+    without their argument checks: ``below(m)`` is ``randrange(m)``, so
+    ``randint(1, m)`` is ``1 + below(m)`` and ``choice(s)`` is
+    ``s[below(len(s))]``, and ``sample(N, k)`` is ``sample(range(N), k)``.
+    ``random`` is the generator's own."""
+
+    def __init__(self, seed):
+        rng = random.Random(seed)
+        self.random, self._bits = rng.random, rng.getrandbits
+
+    def below(self, m):
+        k = m.bit_length()
+        r = self._bits(k)
+        while r >= m:
+            r = self._bits(k)
+        return r
+
+    def sample(self, N, k):
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        out = []
+        if N <= setsize:
+            # the pool branch: a swap moves each pick out of the pool's live part
+            pool = list(range(N))
+            for i in range(k):
+                j = self.below(N - i)
+                out.append(pool[j])
+                pool[j] = pool[N - i - 1]
+            return out
+        # the rejection branch redraws a pick past N or already taken alike
+        bits, width = self._bits, N.bit_length()
+        for _ in range(k):
+            j = bits(width)
+            while j >= N or j in out:
+                j = bits(width)
+            out.append(j)
+        return out
+
+
 class _SampledSets:
     """The sets of a sampled search, each the sorted tuple of its indices
     into ``pts``, whose pairs are scored a batch at a time.
@@ -263,9 +311,12 @@ class _SampledSets:
     A set's coordinates are its indices padded to n by repeating the first,
     read as line positions or as indices into the space's matrix.  Its
     image is f's at the set's first pair at positive distance, so f is
-    called on each set once and in the order of a pair-by-pair search, and
-    is kept with its own coordinates: its points on the line, else their
-    indices into the matrix.
+    called on each set once and in the order of a pair-by-pair search.
+    ``images`` keeps each image as the plain tuple of its own coordinates,
+    its points on the line, else their indices into the matrix, which the
+    collector stops tracking.  An image with no coordinates, empty or off
+    the space, is () there, and the map's own set is kept in ``failed``
+    for ``hausdorff`` to raise its error.
     """
 
     def __init__(self, space, n, f):
@@ -281,6 +332,7 @@ class _SampledSets:
             self.dist = None
             self.coords = _line_array(self.pts)
         self.images = {}
+        self.failed = {}
 
     def fset(self, a):
         return self._build(tuple(map(self.pts.__getitem__, a)))
@@ -288,11 +340,21 @@ class _SampledSets:
     def _image(self, a):
         B = self.f(self.fset(a))
         try:
-            row = list(B) if self.dist is None else [self.space.index(p) for p in B]
+            row = tuple(B) if self.dist is None else tuple(map(self.space.index, B))
         except (KeyError, TypeError):
-            row = []
-        self.images[a] = B, row
-        return B, row
+            row = ()
+        if not row:
+            self.failed[a] = B
+        self.images[a] = row
+        return row
+
+    def _mapped(self, a):
+        """The image of a as ``hausdorff`` reads it: the map's own set, or
+        its row's points in the order the map gave them."""
+        if a in self.failed:
+            return self.failed[a]
+        row = self.images[a]
+        return row if self.dist is None else tuple(map(self.space.points.__getitem__, row))
 
     def ratios(self, pairs, beta):
         """Δ(f(A), f(B)) / Δ(A, B)^β of each pair as a float array, -inf at
@@ -312,10 +374,15 @@ class _SampledSets:
         images = self.images
         for p in at.tolist():
             a, b = pairs[p]
-            fa, ra = images.get(a) or self._image(a)
-            fb, rb = images.get(b) or self._image(b)
+            ra = images.get(a)
+            if ra is None:
+                ra = self._image(a)
+            rb = images.get(b)
+            if rb is None:
+                rb = self._image(b)
             if not (ra and rb):
-                hausdorff(fa, fb, self.space)  # raises the error these images make
+                # raises the error these images make
+                hausdorff(self._mapped(a), self._mapped(b), self.space)
             rows += (ra, rb)
         img = _padded(rows, max(map(len, rows)), _line_array if self.dist is None else np.array)
         hi = _row_hausdorff(img[0::2], img[1::2], self.dist).astype(float)
@@ -328,9 +395,11 @@ def _sampled_search(space, n, beta, seed, budget, f):
     # as its elements do, so that a known pair is skipped before any FSet.
     # Drawing and climbing only record new pairs; each batch of them is then
     # scored at once, which changes no draw, as the draws read no score
-    rng = random.Random(seed)
+    draw = _Draws(seed)
+    below = draw.below
     sets = _SampledSets(space, n, f)
     N = len(sets.pts)
+    most = min(n, N)
     scored = {}  # every pair recorded, in order, with its ratio once scored
     new = []  # the pairs recorded since the last batch, as they were proposed
     top = []  # the six largest (ratio, pair) scored so far, largest first
@@ -353,26 +422,28 @@ def _sampled_search(space, n, beta, seed, budget, f):
         top = heapq.nlargest(6, top + [(values[i], keys[i]) for i in best])
         new.clear()
 
+    # each draw is the one random.Random(seed) would make: randint(1, most),
+    # sample(range(N), k), choice and randrange, as _Draws reads them
     def random_subset():
-        k = rng.randint(1, min(n, N))
-        return tuple(sorted(rng.sample(range(N), k)))
+        k = 1 + below(most)
+        return tuple(sorted(draw.sample(N, k)))
 
     def mutate(a):
-        roll = rng.random()
+        roll = draw.random()
         if roll < 0.4 and len(a) > 1:
-            drop = rng.choice(a)
+            drop = a[below(len(a))]
             return tuple(i for i in a if i != drop)
         if roll < 0.75:
-            i = rng.choice(a)
+            i = a[below(len(a))]
             for _ in range(4):
-                j = min(N - 1, max(0, i + rng.choice((-3, -2, -1, 1, 2, 3))))
+                j = min(N - 1, max(0, i + (-3, -2, -1, 1, 2, 3)[below(6)]))
                 if j not in a:
                     return tuple(sorted(j if q == i else q for q in a))
             return random_subset()
         if len(a) < n:
-            anchor = rng.choice(a)
+            anchor = a[below(len(a))]
             lo, hi = max(0, anchor - 4), min(N, anchor + 5)
-            j = rng.randrange(lo, hi) if rng.random() < 0.5 else rng.randrange(N)
+            j = lo + below(hi - lo) if draw.random() < 0.5 else below(N)
             if j not in a:
                 return tuple(sorted(a + (j,)))
         return random_subset()
@@ -402,7 +473,7 @@ def _sampled_search(space, n, beta, seed, budget, f):
             record(a, b)
     while len(scored) < explore:
         a = random_subset()
-        b = mutate(a) if rng.random() < 0.7 else random_subset()
+        b = mutate(a) if draw.random() < 0.7 else random_subset()
         record(a, b)
     score_new()
     # the climb draws nothing, so a pair it has expanded has every neighbour
@@ -804,14 +875,19 @@ def lipschitz_obstruction_witness(L):
     A = FSet._from_sorted((zero, y, z))
     chain = [A]
     m = k6
+    top = (1, k6)  # the largest step as (numerator, denominator), first 1/k⁶
     while True:
         chain.append(FSet._from_sorted((zero, Fraction(1, m), y, z)))
         if m == k3:
             break
-        m = max(k3, -(-m * k6 // (m + k6)))
+        prev, m = m, max(k3, -(-m * k6 // (m + k6)))
+        # only w moves, from 1/prev to 1/m ≤ x < y/2, which lies nearer 1/prev
+        # than y: the step is 1/m − 1/prev = (prev − m)/(prev m)
+        num, den = prev - m, prev * m
+        if num * top[1] > top[0] * den:
+            top = num, den
     B = chain[-1]
-    steps = (hausdorff(a, b) for a, b in zip(chain, chain[1:]))
-    return ChainWitness(L, k, x, y, z, A, B, tuple(chain), max(steps))
+    return ChainWitness(L, k, x, y, z, A, B, tuple(chain), Fraction(*top))
 
 
 def validate_obstruction_witness(w):

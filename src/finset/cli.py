@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -65,16 +66,26 @@ def _parse_set(text, space):
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        obj = vars(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    # the exact types of a report's bulk first, which no dataclass is: a full
+    # chain holds thousands of sets of Fractions
+    kind = type(obj)
+    if kind is tuple or kind is FSet:
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
+    if kind is Fraction:
         return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if kind is int:
         return obj
+    if kind is not float:
+        if dataclasses.is_dataclass(obj):
+            obj = vars(obj)
+        if isinstance(obj, dict):
+            return {str(k): _jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [_jsonable(v) for v in obj]
+        if isinstance(obj, Fraction):
+            return "%d/%d" % (obj.numerator, obj.denominator)
+        if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+            return obj
     x = float(obj)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -260,6 +271,7 @@ def _cmd_ultra_build(args):
     return report
 
 
+@functools.cache  # argparse keeps no state between parses
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finset",

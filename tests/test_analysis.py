@@ -234,6 +234,8 @@ def dendrogram_case():
 # (space, n, map, seed, budget) of searches whose points are not all floats,
 # or that read a distance matrix.  On the Fraction harmonic set a scorer that
 # turns points into floats reports other constants at all three exponents.
+# The last two draw their sets from both of sample's branches: the bench's
+# input from its rejection set, and n = 6 on 40 points from its pool at k = 6.
 BATCH_SEARCHES = {
     "fraction-harmonic": lambda: (
         RealLineSpace([Fraction(0)] + [Fraction(1, k) for k in range(1, 11)]), 4,
@@ -247,7 +249,31 @@ BATCH_SEARCHES = {
         FiniteMetricSpace.from_coords([(float(x), float(y)) for x in range(6) for y in range(5)]),
         3, lambda A: delete_min_retract(A, 3), 1, 1500),
     "dendrogram": dendrogram_case,
+    "harmonic160": lambda: (harmonic_space(160), 4, lambda A: delete_min_retract(A, 4),
+                            166, 2000),
+    "line40-n6": lambda: (RealLineSpace([k / 40 for k in range(40)]), 6,
+                          lambda A: line_retract(A, 6), 7, 1500),
 }
+
+
+def test_draws_are_those_of_random_random():
+    # N = 21, 22 and 85, 86 sit on either side of sample's switch from its
+    # pool to its rejection set, at k <= 5 and at k = 6, where the switch moves
+    branches = set()
+    for seed in range(200):
+        rng, draw = random.Random(seed), analysis._Draws(seed)
+        for N in (1, 2, 13, 21, 22, 40, 85, 86, 161):
+            seq = tuple(range(100, 100 + N))
+            for k in range(1, min(8, N) + 1):
+                setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+                branches.add((k > 5, N <= setsize))
+                assert draw.sample(N, k) == rng.sample(range(N), k)
+                assert 1 + draw.below(k) == rng.randint(1, k)
+                assert seq[draw.below(N)] == rng.choice(seq)
+                assert N // 3 + draw.below(N - N // 3) == rng.randrange(N // 3, N)
+                assert draw.below(N) == rng.randrange(N)
+                assert draw.random() == rng.random()
+    assert branches == {(big, pool) for big in (False, True) for pool in (False, True)}
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.75])
@@ -293,6 +319,30 @@ def test_batch_scoring_raises_the_first_error_of_the_map():
             reference_sampled_search(space, 3, 1.0, seed, 400, f(ref_calls))
         assert str(err.value) == str(ref_err.value)
         assert calls == ref_calls
+
+
+def test_batch_scoring_raises_what_an_image_off_the_space_raises():
+    # one set maps off the lattice and every other set onto itself: the first
+    # pair that needs the stray image raises hausdorff's error for it, with
+    # the image of its partner, after the same calls as a pair-by-pair search
+    space = FiniteMetricSpace.from_coords([(float(x), float(y)) for x in range(3) for y in range(2)])
+    stray = FSet(space.points[1:3])
+
+    def f(log):
+        def g(A):
+            log.append(A)
+            return FSet([(9.0, 9.0)]) if A == stray else A
+        return g
+
+    for seed in range(4):
+        calls, ref_calls = [], []
+        with pytest.raises(KeyError) as err:
+            estimate_constant(f(calls), SubsetDomain.build(space, 2, cap=1), seed=seed,
+                              pair_budget=300)
+        with pytest.raises(KeyError) as ref_err:
+            reference_sampled_search(space, 2, 1.0, seed, 300, f(ref_calls))
+        assert str(err.value) == str(ref_err.value) == "(9.0, 9.0)"
+        assert calls == ref_calls and stray in calls
 
 
 def assert_kernel_matches_brute(f, sets, beta, space=None):
