@@ -105,11 +105,11 @@ class _PackedFamily:
     """
 
     def __init__(self, sets, space):
-        key, lookup, self.dist = _universe(sets, space)
+        lookup, self.dist = _universe(sets, space)
         k = max(len(s) for s in sets)
         idx = np.empty((len(sets), k), dtype=np.intp)
         for row, s in enumerate(sets):
-            cols = [lookup[key(p)] for p in s]
+            cols = [lookup[p] for p in s]
             idx[row, :len(cols)] = cols
             idx[row, len(cols):] = cols[0]
         self.idx = idx
@@ -146,7 +146,7 @@ def _minima(dist, pts, slots):
     ``dist[b, pts[p]]``, or of |dist[pts[p]] - dist[b]| for line positions;
     ``pts`` is an index array, or a slice for every point.  C-contiguous and
     folded one column of ``slots`` at a time, so building it peaks at two
-    tables."""
+    tables, and rounded to float once from object positions."""
     first, rest = slots[:, 0], slots[:, 1:].T
     if dist.ndim == 1:
         x = dist[pts, None]
@@ -158,7 +158,7 @@ def _minima(dist, pts, slots):
         out = np.ascontiguousarray(dist[first][:, pts].T)
         for c in rest:
             np.minimum(out, dist[c][:, pts].T, out=out)
-    return out
+    return out.astype(float, copy=False)
 
 
 def _hausdorff_block(fam, i0, j0):
@@ -183,17 +183,17 @@ def _pair_distances(sets, space):
 
 
 def _universe(sets, space):
-    """The distinct points of ``sets``: element key function, index lookup,
-    and their distances (a square matrix, or line positions in order)."""
+    """The distinct points of ``sets``: their index lookup and their
+    distances, a square matrix, or line positions in order as
+    ``_line_array`` reads them."""
     if isinstance(space, FiniteMetricSpace):
         try:
             used = sorted({space._index[p] for s in sets for p in s})
         except KeyError as exc:
             raise ValueError("point %r is not in the space" % exc.args) from None
-        lookup = {space.points[i]: u for u, i in enumerate(used)}
-        return (lambda p: p), lookup, space.dist[np.ix_(used, used)]
-    vals = sorted({float(p) for s in sets for p in s})
-    return float, {v: u for u, v in enumerate(vals)}, np.array(vals)
+        return {space.points[i]: u for u, i in enumerate(used)}, space.dist[np.ix_(used, used)]
+    vals = sorted({p for s in sets for p in s})
+    return {v: u for u, v in enumerate(vals)}, _line_array(vals)
 
 
 def _power(h, beta):
@@ -228,10 +228,16 @@ def _exhaustive_search(sets, images, space, beta):
 
 
 def _line_array(values):
-    """Line positions as an array: float64 when every value is a float, else
-    an object array, on which numpy's arithmetic is Python's, exact on ints
-    and Fractions."""
-    return np.array(values, dtype=float if set(map(type, values)) <= {float} else object)
+    """A list of line positions as float64 when each is a float exactly (floats,
+    ints up to 2**53, dyadic Fractions), else as objects, in Python's exact
+    arithmetic on ints and Fractions.  Either way a gap of two floats or two
+    exact values is rounded once, and as rounding is monotone, a least or
+    greatest rounded gap is the exact one rounded."""
+    try:
+        floats = np.array(values, dtype=float)
+    except OverflowError:  # an int or a Fraction past the float range
+        return np.array(values, dtype=object)
+    return floats if floats.tolist() == values else np.array(values, dtype=object)
 
 
 def _row_hausdorff(A, B, dist=None):
@@ -309,14 +315,12 @@ class _SampledSets:
     into ``pts``, whose pairs are scored a batch at a time.
 
     A set's coordinates are its indices padded to n by repeating the first,
-    read as line positions or as indices into the space's matrix.  Its
-    image is f's at the set's first pair at positive distance, so f is
-    called on each set once and in the order of a pair-by-pair search.
-    ``images`` keeps each image as the plain tuple of its own coordinates,
-    its points on the line, else their indices into the matrix, which the
-    collector stops tracking.  An image with no coordinates, empty or off
-    the space, is () there, and the map's own set is kept in ``failed``
-    for ``hausdorff`` to raise its error.
+    read as line positions or as indices into the space's matrix.  Two
+    distinct sets are at positive distance, so every pair recorded is
+    scored, and ``map_pair`` calls f on each set once, at its first recorded
+    pair, as a pair-by-pair search does.  ``images`` keeps each image as the
+    plain tuple of its coordinates, points on the line, else indices into
+    the matrix, which the collector stops tracking.
     """
 
     def __init__(self, space, n, f):
@@ -332,62 +336,43 @@ class _SampledSets:
             self.dist = None
             self.coords = _line_array(self.pts)
         self.images = {}
-        self.failed = {}
 
     def fset(self, a):
         return self._build(tuple(map(self.pts.__getitem__, a)))
 
-    def _image(self, a):
-        B = self.f(self.fset(a))
-        try:
-            row = tuple(B) if self.dist is None else tuple(map(self.space.index, B))
-        except (KeyError, TypeError):
-            row = ()
-        if not row:
-            self.failed[a] = B
-        self.images[a] = row
-        return row
-
-    def _mapped(self, a):
-        """The image of a as ``hausdorff`` reads it: the map's own set, or
-        its row's points in the order the map gave them."""
-        if a in self.failed:
-            return self.failed[a]
-        row = self.images[a]
-        return row if self.dist is None else tuple(map(self.space.points.__getitem__, row))
+    def map_pair(self, a, b):
+        """Map each set of a new pair that has no image yet, a first.  An
+        image with no coordinates, empty or off the space, raises at once
+        the error ``hausdorff`` gives on the pair's two images."""
+        images, space = self.images, self.space
+        for s in (a, b):
+            if s not in images:
+                B = self.f(self.fset(s))
+                try:
+                    row = tuple(B) if self.dist is None else tuple(map(space.index, B))
+                except (KeyError, TypeError):
+                    row = ()
+                if not row:
+                    # the partner's image as the map gives it if new, else as its points
+                    t = b if s == a else a
+                    C = (self.f(self.fset(t)) if t not in images else images[t]
+                         if self.dist is None else [space.points[i] for i in images[t]])
+                    hausdorff(*((B, C) if s == a else (C, B)), space)
+                images[s] = row
 
     def ratios(self, pairs, beta):
-        """Δ(f(A), f(B)) / Δ(A, B)^β of each pair as a float array, -inf at
-        distance 0, in chunks of about _BLOCK_CELLS point pairs."""
+        """Δ(f(A), f(B)) / Δ(A, B)^β of each mapped pair as a float array,
+        in chunks of about _BLOCK_CELLS point pairs."""
         step = max(1, _BLOCK_CELLS // self.n ** 2)
         return np.concatenate([self._ratios(pairs[i:i + step], beta)
                                for i in range(0, len(pairs), step)])
 
     def _ratios(self, pairs, beta):
         X, Y = (self.coords[_padded(side, self.n, np.array)] for side in zip(*pairs))
-        dd = _row_hausdorff(X, Y, self.dist)
-        out = np.full(len(pairs), -np.inf)
-        at = np.flatnonzero(~(dd <= 0))
-        if not len(at):
-            return out
-        rows = []
-        images = self.images
-        for p in at.tolist():
-            a, b = pairs[p]
-            ra = images.get(a)
-            if ra is None:
-                ra = self._image(a)
-            rb = images.get(b)
-            if rb is None:
-                rb = self._image(b)
-            if not (ra and rb):
-                # raises the error these images make
-                hausdorff(self._mapped(a), self._mapped(b), self.space)
-            rows += (ra, rb)
+        rows = list(map(self.images.__getitem__, itertools.chain.from_iterable(pairs)))
         img = _padded(rows, max(map(len, rows)), _line_array if self.dist is None else np.array)
         hi = _row_hausdorff(img[0::2], img[1::2], self.dist).astype(float)
-        out[at] = hi / _power(dd[at].astype(float), beta)
-        return out
+        return hi / _power(_row_hausdorff(X, Y, self.dist).astype(float), beta)
 
 
 def _sampled_search(space, n, beta, seed, budget, f):
@@ -401,25 +386,25 @@ def _sampled_search(space, n, beta, seed, budget, f):
     N = len(sets.pts)
     most = min(n, N)
     scored = {}  # every pair recorded, in order, with its ratio once scored
-    new = []  # the pairs recorded since the last batch, as they were proposed
+    new = []  # the pairs recorded since the last batch, in order
     top = []  # the six largest (ratio, pair) scored so far, largest first
 
     def record(a, b):
         key = (a, b) if a <= b else (b, a)
         if a != b and key not in scored:
             scored[key] = None
-            new.append((a, b))
+            new.append(key)
+            sets.map_pair(a, b)
 
     def score_new():
         nonlocal top
         ratios = sets.ratios(new, beta)
-        keys = [(a, b) if a <= b else (b, a) for a, b in new]
         values = ratios.tolist()
-        scored.update(zip(keys, values))
-        best = range(len(keys))
-        if len(keys) > 6:
+        scored.update(zip(new, values))
+        best = range(len(new))
+        if len(new) > 6:
             best = np.flatnonzero(ratios >= np.partition(ratios, -6)[-6]).tolist()
-        top = heapq.nlargest(6, top + [(values[i], keys[i]) for i in best])
+        top = heapq.nlargest(6, top + [(values[i], new[i]) for i in best])
         new.clear()
 
     # each draw is the one random.Random(seed) would make: randint(1, most),
@@ -495,9 +480,7 @@ def _sampled_search(space, n, beta, seed, budget, f):
         if not new:
             break
         score_new()
-    peak = max(scored.values(), default=-math.inf)
-    if peak == -math.inf:
-        raise ValueError("all sampled pairs are at distance 0")
+    peak = max(scored.values())
     # the kernel's tie rule: the least pair in enumerate_fsets order, earlier set first
     (_, a), (_, b) = min(sorted((len(t), t) for t in k) for k, r in scored.items() if r == peak)
     stop = "budget" if len(scored) >= budget else "stale"

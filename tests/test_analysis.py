@@ -188,6 +188,19 @@ COMPLETE_SEARCHES = {
     # sqrt(9.26), and on AVX-512 CPUs 1.85 ** 0.75 against np.power(1.85, 0.75)
     "two-points-9.26": lambda: (RealLineSpace([0, 9.26]), 1, lambda A: line_retract(A, 1)),
     "two-points-1.85": lambda: (RealLineSpace([0, 1.85]), 1, lambda A: line_retract(A, 1)),
+    # exact points that are not all floats: both searches round each exact
+    # gap once, where rounding the points first put delete-min's constant on
+    # the Fraction harmonic set at 7.0000000000000036 for the exact 7
+    "fraction-harmonic8-delete-min": lambda: (
+        RealLineSpace([Fraction(0)] + [Fraction(1, k) for k in range(1, 9)]), 3,
+        lambda A: delete_min_retract(A, 3)),
+    "thirds-median-n2": lambda: (
+        RealLineSpace([Fraction(k, 3) for k in range(7)]), 2, lambda A: median_retract(A, 2)),
+    "thirds-line-n3": lambda: (
+        RealLineSpace([Fraction(k, 3) for k in range(7)]), 3, lambda A: line_retract(A, 3)),
+    "mixed-line": lambda: (
+        RealLineSpace([Fraction(k, 7) for k in range(0, 20, 3)] + [0.5, 1.5]), 3,
+        lambda A: line_retract(A, 3)),
 }
 
 
@@ -321,28 +334,57 @@ def test_batch_scoring_raises_the_first_error_of_the_map():
         assert calls == ref_calls
 
 
-def test_batch_scoring_raises_what_an_image_off_the_space_raises():
-    # one set maps off the lattice and every other set onto itself: the first
-    # pair that needs the stray image raises hausdorff's error for it, with
-    # the image of its partner, after the same calls as a pair-by-pair search
+def lattice_with_stray_image():
     space = FiniteMetricSpace.from_coords([(float(x), float(y)) for x in range(3) for y in range(2)])
-    stray = FSet(space.points[1:3])
+    return space, FSet(space.points[1:3]), FSet([(9.0, 9.0)]), KeyError, "(9.0, 9.0)"
+
+
+def line_with_empty_image():
+    space = harmonic_space(8)
+    return (space, FSet(space.points[2:4]), (), ValueError,
+            "Hausdorff distance needs nonempty sets")
+
+
+@pytest.mark.parametrize("case", [lattice_with_stray_image, line_with_empty_image])
+def test_batch_scoring_raises_what_an_image_with_no_coordinates_raises(case):
+    # one set maps off the lattice, or to no points on the line, and every
+    # other set onto itself: the first pair that needs that image raises
+    # hausdorff's error for it, with the image of its partner, after the
+    # same calls as a pair-by-pair search
+    space, odd, image, error, message = case()
 
     def f(log):
         def g(A):
             log.append(A)
-            return FSet([(9.0, 9.0)]) if A == stray else A
+            return image if A == odd else A
         return g
 
     for seed in range(4):
         calls, ref_calls = [], []
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(error) as err:
             estimate_constant(f(calls), SubsetDomain.build(space, 2, cap=1), seed=seed,
                               pair_budget=300)
-        with pytest.raises(KeyError) as ref_err:
+        with pytest.raises(error) as ref_err:
             reference_sampled_search(space, 2, 1.0, seed, 300, f(ref_calls))
-        assert str(err.value) == str(ref_err.value) == "(9.0, 9.0)"
-        assert calls == ref_calls and stray in calls
+        assert str(err.value) == str(ref_err.value) == message
+        assert calls == ref_calls and odd in calls
+
+
+@pytest.mark.parametrize("values, exact", [
+    ([0.0, 0.5, 1e300], True),
+    ([np.float64(0.25), 1.0], True),
+    ([0, 3, 2 ** 53], True),
+    ([0.5, Fraction(1, 4), 7], True),
+    ([0.5, Fraction(1, 3)], False),
+    ([0, 2 ** 53 + 1], False),
+    ([0, 10 ** 400], False),
+])
+def test_line_array_is_float64_only_where_every_point_is_a_float_exactly(values, exact):
+    # one rule for line points in both searches: float64 when every value is
+    # a float exactly, else Python's exact arithmetic in an object array
+    arr = analysis._line_array(values)
+    assert arr.dtype == (np.float64 if exact else object)
+    assert arr.tolist() == values
 
 
 def assert_kernel_matches_brute(f, sets, beta, space=None):
