@@ -94,33 +94,39 @@ class _PackedFamily:
     positions, read as |u - b|.
 
     A universe of at most ``_BLOCK`` points keeps one minima table over the
-    whole family, (universe, num_sets) and C-contiguous: ``table[u, s]`` is
-    the min over b in s of d(u, b).
+    whole family, (universe, num_sets) and C-contiguous, in rank codes:
+    ``vals`` holds the distinct entries of the universe's distance matrix in
+    ascending order, each line gap rounded to float once, and ``table[u, s]``
+    is the index into ``vals`` of the min over b in s of d(u, b), in the
+    least unsigned type that holds every index.  Min and max only compare
+    distances, so they fold the codes as they would the floats, and
+    ``floats`` reads codes back as the distances they stand for.
 
     A larger universe, such as the image of a retraction that slides points
     off the sample, would make that table quadratic in the family.  It
     keeps instead, for each block of ``_BLOCK`` sets, the block's distinct
     points and each set's slots as indices into them, and ``directed``
-    builds a (block points, ``_BLOCK``) table for each block pair it reads.
+    builds a (block points, ``_BLOCK``) table of floats for each block pair
+    it reads; its ``vals`` is None.
     """
 
     def __init__(self, sets, space):
         lookup, self.dist = _universe(sets, space)
-        k = max(len(s) for s in sets)
-        idx = np.empty((len(sets), k), dtype=np.intp)
-        for row, s in enumerate(sets):
-            cols = [lookup[p] for p in s]
-            idx[row, :len(cols)] = cols
-            idx[row, len(cols):] = cols[0]
-        self.idx = idx
+        self.idx = _padded(sets, max(map(len, sets)), lambda pts: np.fromiter(
+            map(lookup.__getitem__, pts), np.intp, len(pts)))
         if len(self.dist) <= _BLOCK:
-            self.table = _minima(self.dist, slice(None), idx)
+            D = self.dist
+            if D.ndim == 1:
+                D = np.abs(D[:, None] - D).astype(float, copy=False)
+            self.vals, codes = np.unique(D, return_inverse=True)
+            codes = codes.reshape(D.shape).astype(np.min_scalar_type(len(self.vals) - 1))
+            self.table = _minima(codes, slice(None), self.idx)
             self.blocks = None
         else:
-            self.table = None
+            self.vals = self.table = None
             self.blocks = []
-            for r0 in range(0, len(idx), _BLOCK):
-                block = idx[r0:r0 + _BLOCK]
+            for r0 in range(0, len(self.idx), _BLOCK):
+                block = self.idx[r0:r0 + _BLOCK]
                 pts, rows = np.unique(block, return_inverse=True)
                 self.blocks.append((pts, rows.reshape(block.shape)))
 
@@ -140,13 +146,18 @@ class _PackedFamily:
             np.maximum(out, table[rows[:, c]], out=out)
         return out
 
+    def floats(self, H):
+        """The distances that the entries of ``directed``'s tables stand for."""
+        return H if self.vals is None else np.take(self.vals, H)
+
 
 def _minima(dist, pts, slots):
     """Table [p, s] = min over the points b of row s of ``slots`` of
     ``dist[b, pts[p]]``, or of |dist[pts[p]] - dist[b]| for line positions;
     ``pts`` is an index array, or a slice for every point.  C-contiguous and
     folded one column of ``slots`` at a time, so building it peaks at two
-    tables, and rounded to float once from object positions."""
+    tables; from line positions it is rounded to float once, and from a
+    matrix it keeps the matrix's type."""
     first, rest = slots[:, 0], slots[:, 1:].T
     if dist.ndim == 1:
         x = dist[pts, None]
@@ -154,17 +165,17 @@ def _minima(dist, pts, slots):
         gap = np.empty_like(out)
         for c in rest:
             np.minimum(out, np.abs(np.subtract(x, dist[c], out=gap), out=gap), out=out)
-    else:
-        out = np.ascontiguousarray(dist[first][:, pts].T)
-        for c in rest:
-            np.minimum(out, dist[c][:, pts].T, out=out)
-    return out.astype(float, copy=False)
+        return out.astype(float, copy=False)
+    out = np.ascontiguousarray(dist[first][:, pts].T)
+    for c in rest:
+        np.minimum(out, dist[c][:, pts].T, out=out)
+    return out
 
 
 def _hausdorff_block(fam, i0, j0):
-    """Hausdorff distances between the sets of the row blocks at i0 and j0:
-    entry (i, j) is the float ``hausdorff(sets[i0 + i], sets[j0 + j],
-    space)`` gives."""
+    """Hausdorff distances between the sets of the row blocks at i0 and j0,
+    in the family's table entries: entry (i, j) read by ``fam.floats`` is
+    the float ``hausdorff(sets[i0 + i], sets[j0 + j], space)`` gives."""
     forward = fam.directed(i0, j0)
     return np.maximum(forward, fam.directed(j0, i0).T, out=forward)
 
@@ -175,11 +186,11 @@ def _pair_distances(sets, space):
     them."""
     fam = _PackedFamily(sets, space)
     N = len(sets)
-    H = np.zeros((N, N))
+    H = np.zeros((N, N), float if fam.vals is None else fam.table.dtype)
     for i0 in range(0, N, _BLOCK):
         for j0 in range(i0, N, _BLOCK):
             H[i0:i0 + _BLOCK, j0:j0 + _BLOCK] = _hausdorff_block(fam, i0, j0)
-    return H[np.triu_indices(N, 1)]
+    return fam.floats(H[np.triu_indices(N, 1)])
 
 
 def _universe(sets, space):
@@ -206,13 +217,26 @@ def _exhaustive_search(sets, images, space, beta):
     dom = _PackedFamily(sets, space)
     img = _PackedFamily(images, space)
     N = len(sets)
+    # each distinct distance to the beta once; code 0 is the diagonal's zero,
+    # so a pair is scored where Hd > 0 in codes as in floats
+    pd = None if dom.vals is None else _power(dom.vals, beta)
+    # blocks are skipped where both families are coded, from the first peak on
+    skips = pd is not None and img.vals is not None
+    thr = None
     best = -math.inf
     arg = None
     for i0 in range(0, N, _BLOCK):
         for j0 in range(i0, N, _BLOCK):
             Hd = _hausdorff_block(dom, i0, j0)
             Hi = _hausdorff_block(img, i0, j0)
-            R = np.divide(Hi, _power(Hd, beta), out=np.full_like(Hi, -np.inf), where=Hd > 0)
+            if thr is not None:
+                # exact: a pair whose image code is below its threshold has a
+                # ratio below best, so a block of only such pairs changes nothing
+                live = Hi >= np.take(thr, Hd)
+                if not (np.triu(live, 1) if i0 == j0 else live).any():
+                    continue
+            den = _power(Hd, beta) if pd is None else np.take(pd, Hd)
+            R = np.divide(img.floats(Hi), den, out=np.full(Hi.shape, -np.inf), where=Hd > 0)
             if i0 == j0:
                 R[np.tril_indices(len(R))] = -np.inf
             li, lj = divmod(int(np.argmax(R)), R.shape[1])  # R holds no NaN
@@ -220,6 +244,8 @@ def _exhaustive_search(sets, images, space, beta):
             if peak < best or peak == -math.inf:
                 continue
             cand = (i0 + li, j0 + lj)
+            if peak > best and skips:
+                thr = _thresholds(img.vals, pd, peak)
             if peak > best or cand < arg:
                 best, arg = peak, cand
     if arg is None:
@@ -227,12 +253,41 @@ def _exhaustive_search(sets, images, space, beta):
     return best, (sets[arg[0]], sets[arg[1]]), math.comb(N, 2)
 
 
+def _thresholds(vals, pd, best):
+    """For each domain code d, the least image code c with vals[c] / pd[d] >=
+    best, by a bisection over the image codes for all d at once; len(vals)
+    for none, and for code 0, the distance 0, whose pairs are not scored.
+    A correctly rounded division is monotone in its numerator, so a pair
+    with image code below its threshold has a ratio below best."""
+    n = len(vals)
+    thr = np.full(len(pd), n, np.min_scalar_type(n))
+    p = pd[1:]
+    lo = np.zeros(len(p), np.intp)
+    hi = np.full(len(p), n)
+    # every c below lo fails and every c from hi on passes
+    for _ in range(n.bit_length()):
+        mid = np.minimum((lo + hi) // 2, n - 1)
+        ok = vals[mid] / p >= best
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    thr[1:] = lo
+    return thr
+
+
 def _line_array(values):
     """A list of line positions as float64 when each is a float exactly (floats,
     ints up to 2**53, dyadic Fractions), else as objects, in Python's exact
     arithmetic on ints and Fractions.  Either way a gap of two floats or two
     exact values is rounded once, and as rounding is monotone, a least or
-    greatest rounded gap is the exact one rounded."""
+    greatest rounded gap is the exact one rounded.  Floats alone go straight
+    to float64, and a Fraction whose denominator is no power of two, which
+    no float is, straight to objects, neither converted twice."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return np.array(values, dtype=float)
+    if Fraction in kinds and any(type(v) is Fraction and v.denominator & (v.denominator - 1)
+                                 for v in values):
+        return np.array(values, dtype=object)
     try:
         floats = np.array(values, dtype=float)
     except OverflowError:  # an int or a Fraction past the float range
@@ -265,7 +320,9 @@ def _padded(rows, width, array):
     lens = np.fromiter(map(len, rows), np.intp, len(rows))
     flat = array(list(itertools.chain.from_iterable(rows)))
     cols = np.arange(width)
-    return flat[np.where(cols < lens[:, None], cols, 0) + (np.cumsum(lens) - lens)[:, None]]
+    pos = np.where(cols < lens[:, None], cols, 0)
+    pos += (np.cumsum(lens) - lens)[:, None]
+    return np.take(flat, pos)
 
 
 class _Draws:

@@ -91,8 +91,13 @@ def build_centers(space, levels=None):
     """Greedy center family of an ultrametric space at dyadic scales.
 
     Per level, the first unassigned point in sorted order becomes a center
-    and takes every unassigned point closer than the scale; in any metric
-    this sends each point to the earliest center that covers it.  The
+    and takes every unassigned point closer than the scale, which sends each
+    point to the earliest center that covers it.  In an ultrametric the
+    balls of a scale split those of any coarser scale, so each level runs
+    this greedy inside each ball of the level before it, and a ball of one
+    point stays its own center at every finer level (a space that is
+    ultrametric only within the tolerance gets the greedy over every point
+    at every level).  The
     default level range runs from one step above the diameter down to one
     step below the least positive distance, so the coarsest map collapses
     everything and the finest is injective.  The family's contraction, displacement, and
@@ -109,14 +114,24 @@ def build_centers(space, levels=None):
         raise ValueError("at least one level is required")
     order = _ordered_points(space)
     D, row = _matrix(space)
-    rows = [row[p] for p in order]
+    rows = np.array([row[p] for p in order], dtype=np.intp)
+    owner = np.arange(len(D))
+    balls = [rows] if len(rows) > 1 else []  # the balls of more than one point, rows in order
+    # only an exact ultrametric's balls nest; within the tolerance alone,
+    # each level starts again from the whole space
+    nested = report.violation == 0
     maps = {}
     for k in levels:
         scale = 0.5 ** k
-        owner = np.full(len(order), -1)
-        for c in rows:
-            if owner[c] < 0:
-                owner[(owner < 0) & (D[c] < scale)] = c
+        finer = []
+        for ball in balls:
+            while len(ball):
+                near = D[ball[0], ball] < scale
+                inside, ball = ball[near], ball[~near]
+                owner[inside] = inside[0]
+                if len(inside) > 1:
+                    finer.append(inside)
+        balls = finer if nested else [rows]
         maps[k] = {p: space.points[c] for p, c in zip(order, owner[rows].tolist())}
     family = CenterFamily(levels, maps)
     verify_center_family(space, family)

@@ -168,7 +168,11 @@ class FamilyTable:
     """The packed family before it was split into row blocks: each set's
     point indices padded with its first, and one minima table over all the
     family's points, (points, sets): ``table[u, s]`` is the min over b in s
-    of d(u, b)."""
+    of d(u, b), each line gap taken in the points' own arithmetic and rounded
+    to float once.  Its tables hold the distances themselves, in floats, as
+    ``analysis._PackedFamily`` does over more than ``_BLOCK`` points."""
+
+    vals = None
 
     def __init__(self, sets, space):
         if isinstance(space, FiniteMetricSpace):
@@ -176,14 +180,17 @@ class FamilyTable:
             index = {space.points[i]: u for u, i in enumerate(used)}
             D = space.dist[np.ix_(used, used)]
         else:
-            vals = sorted({float(p) for s in sets for p in s})
-            index = {v: u for u, v in enumerate(vals)}
-            D = np.abs(np.subtract.outer(vals, vals))
-            sets = [[float(p) for p in s] for s in sets]
+            pts = sorted({p for s in sets for p in s})
+            index = {v: u for u, v in enumerate(pts)}
+            x = np.array(pts, dtype=float if all(type(v) is float for v in pts) else object)
+            D = np.abs(np.subtract.outer(x, x)).astype(float)
         k = max(len(s) for s in sets)
         self.idx = np.array([[index[p] for p in s] + [index[next(iter(s))]] * (k - len(s))
                              for s in sets])
         self.table = np.stack([D[:, cols].min(axis=1) for cols in self.idx], axis=1)
+
+    def floats(self, H):
+        return H
 
 
 def family_table_block(fam, i0, j0):

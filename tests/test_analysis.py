@@ -475,12 +475,15 @@ def test_exhaustive_search_keeps_the_orientation_of_hausdorff(shape, beta):
 
 def first_max_ratio(f, sets, beta, space):
     # exact reference: scalar hausdorff ratios, and the first maximum in
-    # combinations order as the witness
+    # combinations order as the witness; a pair at distance 0, a set and
+    # its repeat, has no ratio
     best, arg = -math.inf, None
     for A, B in itertools.combinations(sets, 2):
-        r = hausdorff(f(A), f(B), space) / hausdorff(A, B, space) ** beta
-        if r > best:
-            best, arg = r, (A, B)
+        d = hausdorff(A, B, space)
+        if d > 0:
+            r = hausdorff(f(A), f(B), space) / d ** beta
+            if r > best:
+                best, arg = r, (A, B)
     return best, arg
 
 
@@ -520,8 +523,10 @@ class TestPackedFamily:
 
     def test_packing_peaks_near_two_tables(self):
         # a table over all 7,546 sets of harmonic K = 20 at n = 4 takes two
-        # tables to build; row blocks build none, and pack below the table
-        # that one block pair reads, (block points, _BLOCK)
+        # tables to build; in one-byte codes it is an eighth of the float64
+        # table, and packing peaks within three float64 tables, what
+        # building that table in floats did.  Row blocks build none, and pack
+        # below the table that one block pair reads, (block points, _BLOCK)
         _, images = self.grid_families()
         for family in (enumerate_fsets(harmonic_space(20), 4), images):
             tracemalloc.start()
@@ -531,7 +536,8 @@ class TestPackedFamily:
             finally:
                 tracemalloc.stop()
             if fam.blocks is None:
-                assert peak <= 3 * fam.table.nbytes
+                assert fam.table.dtype == np.uint8
+                assert peak <= 3 * fam.table.size * 8
             else:
                 assert peak <= max(len(pts) for pts, _ in fam.blocks) * analysis._BLOCK * 8
 
@@ -623,6 +629,87 @@ def test_row_blocks_match_the_family_table_on_a_finite_space(skew, shape, beta, 
     fast = estimate_constant(f, sets, hoelder_exponent=beta, space=sp)
     assert_same_report(fast, family_table_constant(f, sets, beta, sp, monkeypatch))
     assert (fast.constant, fast.witness) == first_max_ratio(f, sets, beta, sp)
+
+
+def spread_line():
+    # 24 points whose 276 gaps are all distinct: with the zero, 277 codes
+    rng = random.Random(29)
+    return RealLineSpace(sorted(round(rng.uniform(0, 100), 3) for _ in range(24)))
+
+
+def repeated_set_domain():
+    # an explicit domain holding one set twice: that pair is at distance 0
+    sets = list(enumerate_fsets(harmonic_space(5), 2))
+    sets.insert(4, sets[9])
+    return None, sets, lambda A: delete_min_retract(A, 2)
+
+
+def coded_case(space, n, f):
+    return space, enumerate_fsets(space, n), f
+
+
+CODED_CASES = {
+    "uint16-line": lambda: coded_case(spread_line(), 2, lambda A: delete_min_retract(A, 2)),
+    "fraction-line": lambda: coded_case(
+        RealLineSpace([Fraction(k, 3) for k in range(7)] + [Fraction(1, 7)]), 3,
+        lambda A: line_retract(A, 3)),
+    "skewed-lattice": lambda: (lambda sp: (
+        sp, enumerate_fsets(sp, 3),
+        lambda A: FSet(dict(zip(sp.points, sp.points[3:] + sp.points[:3]))[p] for p in A)))(
+        skewed_lattice()),
+    # every ratio ties, at 1 for beta = 1 and at 0 for every beta: the skip
+    # must keep the first pair
+    "identity": lambda: coded_case(harmonic_space(8), 2, lambda A: A),
+    "constant": lambda: coded_case(harmonic_space(8), 2, lambda A: FSet([0.0])),
+    "repeated-set": repeated_set_domain,
+}
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("case", list(CODED_CASES))
+def test_coded_kernel_matches_the_float_table_and_scalar_hausdorff(case, beta, monkeypatch):
+    # the search on rank codes, ratios by lookup and the block skip, against
+    # the float minima table with no skip, and against scalar hausdorff
+    space, sets, f = CODED_CASES[case]()
+    f = functools.cache(f)
+    dom = analysis._PackedFamily(sets, space)
+    assert dom.blocks is None and dom.vals[0] == 0.0
+    if case == "uint16-line":
+        assert len(dom.vals) == 277 and dom.table.dtype == np.uint16
+    else:
+        assert dom.table.dtype == np.uint8
+    if case == "fraction-line":
+        assert dom.dist.dtype == object
+    fast = estimate_constant(f, sets, hoelder_exponent=beta, space=space)
+    assert_same_report(fast, family_table_constant(f, sets, beta, space, monkeypatch))
+    assert (fast.constant, fast.witness) == first_max_ratio(f, sets, beta, space)
+    if case == "constant" or case == "identity" and beta == 1.0:
+        assert fast.witness == (sets[0], sets[1])
+
+
+@pytest.mark.parametrize("case", ["uint16-line", "fraction-line", "skewed-lattice"])
+def test_pair_distances_read_codes_back_as_the_float_table(case):
+    # the codes read through vals are the float table's distances, byte for byte
+    space, sets, _ = CODED_CASES[case]()
+    fam = FamilyTable(sets, space)
+    forward = fam.table[fam.idx].max(axis=1)
+    want = np.maximum(forward, forward.T)[np.triu_indices(len(sets), 1)]
+    got = analysis._pair_distances(sets, space)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_thresholds_are_the_least_image_codes_that_reach_the_incumbent():
+    # a scan of every (domain code, image code) pair for the least image code
+    # whose ratio is at least best; code 0, the distance 0, is never reached
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        vals = np.unique(rng.uniform(0, 3, rng.integers(1, 40)))
+        pd = np.unique(np.concatenate([[0.0], rng.uniform(0.01, 2, 30)]))
+        best = float(rng.choice(vals) / rng.choice(pd[1:]))
+        thr = analysis._thresholds(vals, pd, best)
+        for d, p in enumerate(pd):
+            passing = [c for c in range(len(vals)) if d > 0 and vals[c] / p >= best]
+            assert thr[d] == (passing[0] if passing else len(vals))
 
 
 class _MaskedPowerNumpy:

@@ -148,6 +148,39 @@ class TestCenterFamily:
             assert len(set(fam.maps[coarsest].values())) == 1
             assert len(set(fam.maps[finest].values())) == len(sp.points)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refined_balls_match_the_greedy_over_every_point(self, seed):
+        # each level refines the balls of the level before it; heights moved
+        # onto dyadic scales put distances exactly at a scale, where "<" bites,
+        # and sparse levels skip scales between refinements
+        tree = dendrogram_space(random_dendrogram(40, seed=seed))
+        D = tree.dist
+        D = np.where(D > 0, np.exp2(np.round(np.log2(np.where(D > 0, D, 1.0)))), 0.0)
+        snapped = FiniteMetricSpace(list(tree.points), D.tolist())
+        for sp, levels in ((tree, None), (snapped, None), (snapped, [1, 3, 7])):
+            fam = build_centers(sp, levels)
+            assert all(fam.maps[k] == plain_greedy(sp, k) for k in fam.levels)
+
+    def test_tolerance_ultrametric_gets_the_greedy_over_every_point(self):
+        # ultrametric only within the tolerance, so its balls need not nest:
+        # at level 32, c is within the scale of b but was not in b's ball at
+        # level 31, and refining that ball would leave c its own center
+        D = [[0.0, 3.3664873108085995e-10, 8.1485728400713e-10, 3.1464883446059927e-09,
+              3.692791921377546e-09],
+             [3.3664873108085995e-10, 0.0, 6.970695865287357e-11, 3.625805701745393e-09,
+              2.786923483663498e-09],
+             [8.1485728400713e-10, 6.970695865287357e-11, 0.0, 3.4666573255871105e-09,
+              3.2886550714411007e-09],
+             [3.1464883446059927e-09, 3.625805701745393e-09, 3.4666573255871105e-09, 0.0,
+              3.4508702378816706e-09],
+             [3.692791921377546e-09, 2.786923483663498e-09, 3.2886550714411007e-09,
+              3.4508702378816706e-09, 0.0]]
+        sp = FiniteMetricSpace(list("abcde"), D)
+        assert validate_ultrametric(sp).violation > 0
+        fam = build_centers(sp)
+        assert fam.maps[32]["c"] == "b"
+        assert all(fam.maps[k] == plain_greedy(sp, k) for k in fam.levels)
+
     def test_rejects_non_ultrametric(self):
         with pytest.raises(ValueError, match="not ultrametric"):
             build_centers(RealLineSpace([0.0, 1.0, 3.0]))
