@@ -47,7 +47,7 @@ class SubsetDomain:
 
     The subsets are enumerated eagerly when their number fits under the cap;
     otherwise ``sets`` is None and searches over the domain fall back to
-    seeded sampling.
+    seeded sampling, unless their pair budget covers every pair.
     """
 
     space: object
@@ -72,7 +72,7 @@ class ConstantReport:
 
     ``stop_reason`` says why the search ended: ``"exhaustive"`` after every
     pair, ``"budget"`` when a sampled search used up its pair budget, and
-    ``"stale"`` when its hill climb stopped finding new pairs first.
+    ``"stale"`` when it ran out of new pairs first, as a covered one does.
     """
 
     kind: str
@@ -196,12 +196,12 @@ def _pair_distances(sets, space):
 def _universe(sets, space):
     """The distinct points of ``sets``: their index lookup and their
     distances, a square matrix, or line positions in order as
-    ``_line_array`` reads them."""
+    ``_line_array`` reads them.  An empty set, or a point that
+    ``FiniteMetricSpace.index`` cannot read, raises its ValueError."""
+    if not all(map(len, sets)):
+        raise ValueError("Hausdorff distance needs nonempty sets")
     if isinstance(space, FiniteMetricSpace):
-        try:
-            used = sorted({space._index[p] for s in sets for p in s})
-        except KeyError as exc:
-            raise ValueError("point %r is not in the space" % exc.args) from None
+        used = sorted(set(map(space.index, itertools.chain.from_iterable(sets))))
         return {space.points[i]: u for u, i in enumerate(used)}, space.dist[np.ix_(used, used)]
     vals = sorted({p for s in sets for p in s})
     return {v: u for u, v in enumerate(vals)}, _line_array(vals)
@@ -399,23 +399,20 @@ class _SampledSets:
 
     def map_pair(self, a, b):
         """Map each set of a new pair that has no image yet, a first.  An
-        image with no coordinates, empty or off the space, raises at once
-        the error ``hausdorff`` gives on the pair's two images."""
-        images, space = self.images, self.space
+        image empty or off the space raises ``_universe``'s ValueError once
+        both sets are mapped, as a pair-by-pair search maps both first."""
         for s in (a, b):
-            if s not in images:
+            if s not in self.images:
                 B = self.f(self.fset(s))
                 try:
-                    row = tuple(B) if self.dist is None else tuple(map(space.index, B))
-                except (KeyError, TypeError):
-                    row = ()
-                if not row:
-                    # the partner's image as the map gives it if new, else as its points
-                    t = b if s == a else a
-                    C = (self.f(self.fset(t)) if t not in images else images[t]
-                         if self.dist is None else [space.points[i] for i in images[t]])
-                    hausdorff(*((B, C) if s == a else (C, B)), space)
-                images[s] = row
+                    row = tuple(B) if self.dist is None else tuple(map(self.space.index, B))
+                    if not row:
+                        raise ValueError("Hausdorff distance needs nonempty sets")
+                except ValueError:
+                    if s == a and b not in self.images:
+                        self.f(self.fset(b))
+                    raise
+                self.images[s] = row
 
     def ratios(self, pairs, beta):
         """Δ(f(A), f(B)) / Δ(A, B)^β of each mapped pair as a float array,
@@ -504,16 +501,8 @@ def _sampled_search(space, n, beta, seed, budget, f):
                     dropped = tuple(q for q in s if q != i)
                     yield (dropped, s) if flipped else (s, dropped)
 
-    # fewer distinct pairs than half the budget would never end the loop
-    pairs = math.comb(_subset_count(N, n), 2)
-    explore = min(budget // 2, pairs)
-    if explore == pairs:
-        # the budget covers the domain: score each pair once, in enumerate_fsets
-        # order, rather than draw random pairs until every one has come up
-        every = [t for k in range(1, n + 1) for t in itertools.combinations(range(N), k)]
-        for a, b in itertools.combinations(every, 2):
-            record(a, b)
-    while len(scored) < explore:
+    # the domain has more than budget // 2 distinct pairs, so this loop ends
+    while len(scored) < budget // 2:
         a = random_subset()
         b = mutate(a) if draw.random() < 0.7 else random_subset()
         record(a, b)
@@ -553,29 +542,34 @@ def estimate_constant(f, domain, hoelder_exponent=1.0, space=None, seed=0,
     of the real line).  Exhaustive mode reports a true maximum with a
     deterministic witness; sampled mode reports a lower bound found by
     seeded random pairs plus hill climbing on the best witnesses, and is
-    deterministic under a fixed seed.
+    deterministic under a fixed seed; a budget that covers every pair gives
+    it the exhaustive search.  An image empty or off the space raises ValueError.
     """
     beta = float(hoelder_exponent)
     if not 0.0 < beta <= 1.0:
         raise ValueError("Hoelder exponent must lie in (0, 1]")
     kind = "lipschitz" if beta == 1.0 else "hoelder"
+    mode = stop = "exhaustive"
     if isinstance(domain, SubsetDomain):
-        space = domain.space
-        if not domain.exhaustive:
-            if _subset_count(len(space.points), domain.n) < 2:
+        space, sets = domain.space, domain.sets
+        if sets is None:
+            count = _subset_count(len(space.points), domain.n)
+            if count < 2:
                 raise ValueError("domain must contain at least two subsets")
             if pair_budget < 2:
                 raise ValueError("pair budget must be at least 2, got %d" % pair_budget)
-            c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, f)
-            return ConstantReport(kind, beta, c, w, p, "sampled", stop)
-        sets = domain.sets
+            if math.comb(count, 2) > pair_budget // 2:
+                c, w, p, stop = _sampled_search(space, domain.n, beta, seed, pair_budget, f)
+                return ConstantReport(kind, beta, c, w, p, "sampled", stop)
+            # a covered budget would score every pair, then find no new one
+            sets, mode, stop = enumerate_fsets(space, domain.n), "sampled", "stale"
     else:
         sets = tuple(domain)
     if len(sets) < 2:
         raise ValueError("domain must contain at least two subsets")
     images = [f(A) for A in sets]
     c, w, p = _exhaustive_search(sets, images, space, beta)
-    return ConstantReport(kind, beta, c, w, p, "exhaustive", "exhaustive")
+    return ConstantReport(kind, beta, c, w, p, mode, stop)
 
 
 @dataclass(frozen=True)

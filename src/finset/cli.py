@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -249,7 +250,9 @@ def _cmd_transform(args):
         "space": _space_summary(out_space),
         "doubling_ratio": transforms.transport_constant(T, 2, base),
         "transport_constant": transforms.transport_constant(T, args.L, base),
-        "distances": sorted(set(round(float(d), 12) for d in out_space.dist[upper])),
+        # round is monotone: the rounded sorted distances stay sorted, equal ones adjacent
+        "distances": [d for d, _ in itertools.groupby(
+            round(d, 12) for d in np.unique(out_space.dist[upper]).tolist())],
     }
 
 

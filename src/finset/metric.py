@@ -259,10 +259,13 @@ class FiniteMetricSpace:
         self._check_pairs()
 
     def d(self, a, b):
-        return float(self.dist[self._index[a], self._index[b]])
+        return float(self.dist[self.index(a), self.index(b)])
 
     def index(self, p):
-        return self._index[p]
+        try:
+            return self._index[p]
+        except KeyError:
+            raise ValueError("point %r is not in the space" % (p,)) from None
 
     def __len__(self):
         return len(self.points)

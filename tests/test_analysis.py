@@ -164,6 +164,14 @@ class TestEstimateConstant:
         assert estimate_constant(lambda A: A, small, pair_budget=0).constant == 1.0
 
 
+def logged(f, log):
+    """f, appending each set it is called on to ``log``."""
+    def g(A):
+        log.append(A)
+        return f(A)
+    return g
+
+
 def tree_case(seed):
     tree = dendrogram_space(random_dendrogram(7, seed=seed))
     family = build_centers(tree)
@@ -209,27 +217,37 @@ COMPLETE_SEARCHES = {
     for beta in (1.0, 0.5, 0.75, 0.3)] + [("two-points-9.26", 0.5), ("two-points-1.85", 0.75)])
 def test_complete_sampled_search_reports_the_exhaustive_certificate(case, beta):
     # one pair rule: both searches divide by analysis._power, and among tied
-    # pairs both name the least in enumerate_fsets order, earlier set first
+    # pairs both name the least in enumerate_fsets order, earlier set first.
+    # A covered budget runs the exhaustive kernel, so the pair-by-pair
+    # reference, which scores every pair with hausdorff, is the other side
     space, n, f = COMPLETE_SEARCHES[case]()
+    calls, ref_calls = [], []
     exhaustive = estimate_constant(f, SubsetDomain.build(space, n), hoelder_exponent=beta)
-    sampled = estimate_constant(f, SubsetDomain.build(space, n, cap=1), hoelder_exponent=beta,
-                                pair_budget=10 ** 6)
+    sampled = estimate_constant(logged(f, calls), SubsetDomain.build(space, n, cap=1),
+                                hoelder_exponent=beta, pair_budget=10 ** 6)
+    c, w, pairs, stop = reference_sampled_search(space, n, beta, 0, 10 ** 6,
+                                                 logged(f, ref_calls))
     assert (sampled.mode, exhaustive.mode) == ("sampled", "exhaustive")
-    assert sampled.pairs_examined == exhaustive.pairs_examined
-    assert repr(sampled.constant) == repr(exhaustive.constant)
-    assert sampled.witness == exhaustive.witness
+    assert sampled.pairs_examined == exhaustive.pairs_examined == pairs
+    assert repr(sampled.constant) == repr(exhaustive.constant) == repr(c)
+    assert sampled.witness == exhaustive.witness == w
+    assert sampled.stop_reason == stop == "stale"
+    assert calls == ref_calls
 
 
 @pytest.mark.parametrize("spare", [0, 1])
 def test_covered_budget_scores_each_pair_once_whatever_the_seed(spare):
     # a budget of at least twice the 105 pairs covers the domain: the search
-    # scores each pair once, in enumerate_fsets order, and draws nothing
+    # scores each pair once, maps the sets in enumerate_fsets order, and
+    # draws nothing
     f = lambda A: delete_min_retract(A, 2)
     domain = SubsetDomain.build(harmonic_space(4), 2, cap=1)
     exhaustive = estimate_constant(f, SubsetDomain.build(harmonic_space(4), 2))
-    reports = [estimate_constant(f, domain, seed=seed, pair_budget=2 * 105 + spare)
-               for seed in (0, 3)]
+    calls = [[], []]
+    reports = [estimate_constant(logged(f, log), domain, seed=seed, pair_budget=2 * 105 + spare)
+               for seed, log in zip((0, 3), calls)]
     assert exhaustive.pairs_examined == 105
+    assert calls[0] == calls[1] == enumerate_fsets(harmonic_space(4), 2)
     for rep in reports:
         assert rep.mode == "sampled"
         assert rep.pairs_examined == 105
@@ -294,17 +312,10 @@ def test_draws_are_those_of_random_random():
 def test_batch_scoring_reports_what_pair_by_pair_scoring_does(case, beta):
     space, n, f, seed, budget = BATCH_SEARCHES[case]()
     calls, ref_calls = [], []
-
-    def logged(log):
-        def g(A):
-            log.append(A)
-            return f(A)
-        return g
-
-    rep = estimate_constant(logged(calls), SubsetDomain.build(space, n, cap=1),
+    rep = estimate_constant(logged(f, calls), SubsetDomain.build(space, n, cap=1),
                             hoelder_exponent=beta, seed=seed, pair_budget=budget)
     c, w, pairs, stop = reference_sampled_search(space, n, beta, seed, budget,
-                                                 logged(ref_calls))
+                                                 logged(f, ref_calls))
     assert (repr(rep.constant), rep.witness, rep.pairs_examined, rep.stop_reason) == \
         (repr(c), w, pairs, stop)
     # the map sees each set once, in the order the pair-by-pair search first needs it
@@ -336,7 +347,8 @@ def test_batch_scoring_raises_the_first_error_of_the_map():
 
 def lattice_with_stray_image():
     space = FiniteMetricSpace.from_coords([(float(x), float(y)) for x in range(3) for y in range(2)])
-    return space, FSet(space.points[1:3]), FSet([(9.0, 9.0)]), KeyError, "(9.0, 9.0)"
+    return (space, FSet(space.points[1:3]), FSet([(9.0, 9.0)]), ValueError,
+            "point (9.0, 9.0) is not in the space")
 
 
 def line_with_empty_image():
@@ -368,6 +380,40 @@ def test_batch_scoring_raises_what_an_image_with_no_coordinates_raises(case):
             reference_sampled_search(space, 2, 1.0, seed, 300, f(ref_calls))
         assert str(err.value) == str(ref_err.value) == message
         assert calls == ref_calls and odd in calls
+
+
+def line_case(image):
+    return (RealLineSpace([0.0, 0.5, 1.0, 2.0]), image,
+            "Hausdorff distance needs nonempty sets")
+
+
+def plane_case():
+    space = FiniteMetricSpace.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    return (space, lambda A: FSet([(9.0, 9.0)]) if A == FSet([(1.0, 0.0)]) else A,
+            "point (9.0, 9.0) is not in the space")
+
+
+# (space, map, message) of maps with an image that no search can read.  Read
+# as the next set's first point, an empty image would give the first case
+# 2.0 at ({0.0}, {0.5}) and the second an IndexError
+UNREADABLE_IMAGES = {
+    "one-empty": lambda: line_case(lambda A: () if A == FSet((0.5,)) else A),
+    "all-empty": lambda: line_case(lambda A: ()),
+    "off-the-plane": plane_case,
+}
+
+
+# each space has 4 points, so at n = 2 the domain has 10 sets and 45 pairs
+@pytest.mark.parametrize("cap, budget", [(None, 2), (1, 90), (1, 89)],
+                         ids=["enumerated", "covered", "uncovered"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_IMAGES))
+def test_every_search_rejects_an_unreadable_image_by_one_rule(case, cap, budget):
+    space, f, message = UNREADABLE_IMAGES[case]()
+    domain = SubsetDomain.build(space, 2, cap=cap)
+    assert domain.exhaustive == (cap is None)
+    with pytest.raises(ValueError) as err:
+        estimate_constant(f, domain, pair_budget=budget)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("values, exact", [

@@ -236,6 +236,9 @@ class TestEstimateQhModulus:
         eta = estimate_qh_modulus(f, X, Y)
         for rx, ry in brute_modulus_pairs(f, X, Y):
             assert ry <= eta(rx) + 1e-12
+        # a map that leaves Y fails by the space's own rule for a point
+        with pytest.raises(ValueError, match=r"^point 4\.0 is not in the space$"):
+            estimate_qh_modulus(lambda x: x ** 2, X, Y)
 
     def test_snowflake_identity_is_sqrt(self):
         X = RealLineSpace([0.0, 1.0, 2.0, 4.0, 8.0])
